@@ -41,7 +41,7 @@
     - {!first_detections}: fault-dropping sweep returning the first
       detecting pattern index per fault — feeds ATPG, compaction and the
       GATSBY fitness function;
-    - {!count_new_detections}: cheap count of newly-detected faults for a
+    - {!count_new_detections}: count of newly-detected faults for a
       candidate pattern set against an active mask. *)
 
 open Reseed_netlist
@@ -133,8 +133,8 @@ val first_detections :
   ?budget:Budget.t -> t -> ?active:Bitvec.t -> bool array array -> int option array
 
 (** [count_new_detections ?budget t patterns ~active] is
-    [Bitvec.count (detected_set t patterns ~active)] without allocating
-    the result set. *)
+    [Bitvec.count (detected_set t patterns ~active)]; it builds the
+    detected set and counts it. *)
 val count_new_detections : ?budget:Budget.t -> t -> bool array array -> active:Bitvec.t -> int
 
 (** [coverage_pct t detected] renders fault coverage as a percentage of

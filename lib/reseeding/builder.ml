@@ -26,8 +26,8 @@ let operand_tag = function
 let m_rows_computed =
   Metrics.counter ~help:"detection-matrix rows fault-simulated" "builder_rows_computed"
 
-let m_ck_hits =
-  Metrics.counter ~help:"rows restored from a checkpoint" "builder_checkpoint_hits"
+let m_rows_restored =
+  Metrics.counter ~help:"rows restored from matrixshard artifacts" "builder_rows_restored"
 
 let m_rows_skipped =
   Metrics.counter ~help:"rows abandoned to an expired budget" "builder_rows_skipped"
@@ -111,12 +111,16 @@ let decode_built ~config ~tests ~targets tpg r =
     rows_restored = 0;
   }
 
-(* One shard = one checkpoint-sized row range, published to the store as
-   soon as its rows are complete and keyed by the matrix fingerprint
+(* One shard = one [shard_rows]-sized row range, published to the store
+   as soon as its rows are complete and keyed by the matrix fingerprint
    plus the range.  A run that dies (or runs out of budget) after
    finishing some shards leaves them behind; the rerun restores them
    row-for-row and simulates only the rest — and at no point does any
-   encoder need more than one shard of dense scratch in memory. *)
+   encoder need more than one shard of dense scratch in memory.  Shard
+   keys contain the range, so changing [shard_rows] leaves every
+   existing store cold. *)
+let shard_rows = 16
+
 let encode_shard group =
   match group with
   | None -> None
@@ -140,7 +144,7 @@ let decode_shard ~nf ~expect r =
          if Rowset.length row <> nf then raise Artifact.Codec.Malformed;
          (useful, row)))
 
-let build ?pool ?budget ?checkpoint ?store ?fingerprint:fp sim tpg ~tests ~targets
+let build ?pool ?budget ?store ?fingerprint:fp sim tpg ~tests ~targets
     ~config =
   let nf = Fault_sim.fault_count sim in
   if Bitvec.length targets <> nf then invalid_arg "Builder.build: target mask size";
@@ -163,7 +167,6 @@ let build ?pool ?budget ?checkpoint ?store ?fingerprint:fp sim tpg ~tests ~targe
     ~args:
       [ ("rows", string_of_int (Array.length tests)); ("faults", string_of_int nf) ]
   @@ fun () ->
-  let width = tpg.Tpg.width in
   let sims_before = Fault_sim.sims_performed sim in
   let triplets = make_triplets ~config tpg tests in
   let n = Array.length triplets in
@@ -175,60 +178,26 @@ let build ?pool ?budget ?checkpoint ?store ?fingerprint:fp sim tpg ~tests ~targe
   let empty_row = Rowset.of_sorted_array nf [||] in
   let rows = Array.make n empty_row in
   let completed = Array.make n false in
-  (* Resume: rows are pure functions of their index, so any complete row
-     from a fingerprint-matching checkpoint is the row we would compute. *)
-  let ck =
-    Option.map
-      (fun dir ->
-        let fp =
-          Checkpoint.fingerprint ~tests ~targets ~cycles:config.cycles
-            ~seed:config.seed
-            ~operand_tag:(operand_tag config.operand_mode)
-            ~fault_model:(Fault_model.name (Fault_sim.model sim))
-            ~tpg:tpg.Tpg.name ~width
-        in
-        Checkpoint.open_dir ~dir ~fingerprint:fp ~rows:n ~cols:nf)
-      checkpoint
-  in
   let restored = ref 0 in
-  Option.iter
-    (fun ck ->
-      ignore
-        (Checkpoint.restore ck (fun ~row ~useful bits ->
-             if not completed.(row) then begin
-               completed.(row) <- true;
-               incr restored;
-               rows.(row) <- Rowset.of_bitvec bits;
-               useful_cycles.(row) <- useful
-             end)))
-    ck;
   (* One task per matrix row; each worker fault-simulates on its own
      simulator shard, and every write lands in the task's own row slot, so
-     the matrix is bit-identical at every job count.  With a checkpoint or
-     an artifact store the rows are processed in chunk-sized groups so each
-     finished group can be persisted — and, for the store, restored —
-     independently before the next starts; a budget-abandoned row stays
-     empty and [completed] false, and is never persisted. *)
+     the matrix is bit-identical at every job count.  With an artifact
+     store the rows are processed in [shard_rows]-sized groups so each
+     finished group can be published and restored independently before
+     the next starts; a budget-abandoned row stays empty and [completed]
+     false, and is never persisted. *)
   let pool = match pool with Some p -> p | None -> Pool.default () in
   let sim_shard = Fault_sim.shard sim (Pool.jobs pool) in
   let shard_store =
     match (store, fp) with Some s, Some _ -> Some s | _ -> None
   in
-  let group =
-    match (ck, shard_store) with
-    | None, None -> max 1 n
-    | _ -> Checkpoint.chunk_rows
-  in
+  let group = if shard_store = None then max 1 n else shard_rows in
   let base_fp = Option.value fp ~default:Fingerprint.empty in
   let glo = ref 0 in
   while !glo < n do
     let lo = !glo and hi = min n (!glo + group) in
     glo := hi;
-    let missing = ref false in
-    for i = lo to hi - 1 do
-      if not completed.(i) then missing := true
-    done;
-    if !missing && not (Budget.check budget) then begin
+    if not (Budget.check budget) then begin
       let computed = ref false in
       let compute () =
         Trace.with_span "builder.chunk"
@@ -285,32 +254,19 @@ let build ?pool ?budget ?checkpoint ?store ?fingerprint:fp sim tpg ~tests ~targe
           Array.iteri
             (fun j (useful, row) ->
               let i = lo + j in
-              if not completed.(i) then begin
-                completed.(i) <- true;
-                incr restored;
-                rows.(i) <- row;
-                useful_cycles.(i) <- useful
-              end)
-            group_rows
-      | _ -> ());
-      match ck with
-      | Some ck ->
-          let all = ref true in
-          for i = lo to hi - 1 do
-            if not completed.(i) then all := false
-          done;
-          if !all then
-            Checkpoint.store ck ~lo ~hi
-              ~useful:(fun i -> useful_cycles.(i))
-              ~row:(fun i -> Rowset.to_bitvec rows.(i))
-      | None -> ()
+              completed.(i) <- true;
+              rows.(i) <- row;
+              useful_cycles.(i) <- useful)
+            group_rows;
+          restored := !restored + (hi - lo)
+      | _ -> ())
     end
   done;
   Fault_sim.merge_sims ~into:sim sim_shard;
   let skipped = ref 0 in
   Array.iter (fun d -> if not d then incr skipped) completed;
   Metrics.add m_rows_computed (n - !restored - !skipped);
-  Metrics.add m_ck_hits !restored;
+  Metrics.add m_rows_restored !restored;
   Metrics.add m_rows_skipped !skipped;
   let matrix = Matrix.of_rowsets ~cols:nf rows in
   {

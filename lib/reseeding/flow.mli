@@ -71,14 +71,13 @@ val truncate_solution :
   int list ->
   Triplet.t list * Bitvec.t * int
 
-(** [run ?config ?pool ?budget ?checkpoint ?store ?fingerprint sim tpg
-    ~tests ~targets] executes the whole flow.  [tests] is the
+(** [run ?config ?pool ?budget ?store ?fingerprint sim tpg ~tests
+    ~targets] executes the whole flow.  [tests] is the
     deterministic test set (ATPGTS), [targets] the fault list F.  [pool]
     is forwarded to the parallel Detection-Matrix build
     ({!Builder.build}) and to the portfolio method's racing legs,
     [budget] to every expensive phase (matrix build
-    and covering solver), [checkpoint] to the matrix build for crash-safe
-    resume.  On budget expiry the result is valid but possibly partial:
+    and covering solver).  On budget expiry the result is valid but possibly partial:
     see [degraded], [coverage_pct] and {!Builder.t.rows_skipped}.
 
     [store] memoises each stage — [matrix], [reduce], [solve],
@@ -86,12 +85,13 @@ val truncate_solution :
     salted with [fingerprint] (the upstream ATPG-stage lineage, see
     {!Suite.prepared}).  A fully warm run touches no fault simulator and
     no solver; results are bit-identical to the uncached path.  Degraded
-    results are never persisted. *)
+    results are never persisted, but the matrix shards an interrupted
+    build finished are, so a rerun against the same store resumes the
+    build (see {!Builder.build}). *)
 val run :
   ?config:config ->
   ?pool:Pool.t ->
   ?budget:Budget.t ->
-  ?checkpoint:string ->
   ?store:Artifact.store ->
   ?fingerprint:Fingerprint.t ->
   Fault_sim.t ->

@@ -1,12 +1,11 @@
 (** Bounded retry with exponential backoff and deterministic jitter.
 
     The one retry policy shared by every transient-failure site: pool
-    worker chunks, artifact-store IO, checkpoint chunk writes.  An
-    exception is {e classified} transient or permanent; transients are
-    retried up to a bounded attempt count with exponentially growing,
-    deterministically jittered delays; permanents (and exhausted
-    transients) surface immediately with their attempt count and total
-    backoff attached.
+    worker chunks and artifact-store IO.  An exception is {e classified}
+    transient or permanent; transients are retried up to a bounded
+    attempt count with exponentially growing, deterministically jittered
+    delays; permanents (and exhausted transients) surface immediately
+    with their attempt count and total backoff attached.
 
     Determinism: the jitter for attempt [k] of a site labelled [l] is a
     pure function of [(l, k)] (a splitmix64 draw from a

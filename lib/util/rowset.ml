@@ -131,7 +131,6 @@ let add r i =
     | RDense v -> v
     | RBig _ | RSparse _ ->
         let v = to_bitvec r in
-        let v = match r.rep with RDense _ -> Bitvec.copy v | _ -> v in
         r.rep <- RDense v;
         v
   in

@@ -1,9 +1,11 @@
 (* Anytime-flow resilience: deadlines and cancellation degrade gracefully,
-   checkpointed matrix builds resume bit-identically (even past truncated
-   or stale chunk files), and pool worker failures surface structured
-   errors instead of hanging or killing the pool. *)
+   interrupted matrix builds resume bit-identically from the matrixshard
+   artifacts in the store (even past truncated, corrupt or stale shards),
+   and pool worker failures surface structured errors instead of hanging
+   or killing the pool. *)
 
 open Reseed_core
+open Reseed_fault
 open Reseed_gatsby
 open Reseed_netlist
 open Reseed_setcover
@@ -20,7 +22,14 @@ let mk_matrix ~cols rows =
 
 let temp_counter = ref 0
 
-let with_temp_dir f =
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+    Unix.rmdir path
+  end
+  else Sys.remove path
+
+let with_temp_store f =
   incr temp_counter;
   let dir =
     Filename.concat
@@ -28,12 +37,8 @@ let with_temp_dir f =
       (Printf.sprintf "reseed-resilience-%d-%d" (Unix.getpid ()) !temp_counter)
   in
   Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists dir then begin
-        Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
-        Unix.rmdir dir
-      end)
-    (fun () -> f dir)
+    ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
+    (fun () -> f (Artifact.open_store dir))
 
 (* --- budgets --- *)
 
@@ -128,11 +133,16 @@ let test_flow_degraded_result_is_sound () =
   check "coverage honest" true (r.Flow.coverage_pct < 100.0);
   check "no phantom triplets" true (List.length r.Flow.final_triplets = 0)
 
-(* --- checkpoint/resume --- *)
+(* --- checkpoint/resume through the artifact store's matrix shards --- *)
 
-let build_ck p tpg ?budget ?checkpoint () =
-  Builder.build ?budget ?checkpoint p.Suite.sim tpg ~tests:p.Suite.tests
-    ~targets:p.Suite.targets ~config:Builder.default_config
+(* A build input: simulator, ATPG tests and target mask. *)
+let c17_input () =
+  let p = Lazy.force prepared_c17 in
+  (p.Suite.sim, p.Suite.tests, p.Suite.targets)
+
+let build (sim, tests, targets) tpg ?budget ?store
+    ?(config = Builder.default_config) () =
+  Builder.build ?budget ?store sim tpg ~tests ~targets ~config
 
 let matrices_equal a b =
   Matrix.rows a = Matrix.rows b
@@ -141,108 +151,132 @@ let matrices_equal a b =
        (fun i -> Bitvec.equal (Matrix.row a i) (Matrix.row b i))
        (Array.init (Matrix.rows a) Fun.id)
 
-let test_checkpoint_roundtrip_bit_identical () =
-  let p = Lazy.force prepared_c17 in
+let stage_files store stage =
+  let dir = Filename.concat (Artifact.root store) stage in
+  Array.to_list (Sys.readdir dir)
+  |> List.filter (fun n -> Filename.check_suffix n ".art")
+  |> List.sort compare
+  |> List.map (Filename.concat dir)
+
+(* What a build killed after publishing its shards leaves behind: the
+   shards, but no whole-stage matrix artifact. *)
+let drop_matrix_stage store = List.iter Sys.remove (stage_files store "matrix")
+
+let first_shard store = List.hd (stage_files store "matrixshard")
+
+let test_resume_roundtrip_bit_identical () =
+  let p = c17_input () in
   let tpg = Accumulator.adder 5 in
-  let reference = build_ck p tpg () in
-  with_temp_dir (fun dir ->
-      let first = build_ck p tpg ~checkpoint:dir () in
+  let reference = build p tpg () in
+  with_temp_store (fun store ->
+      let first = build p tpg ~store () in
       check_int "nothing restored on first run" 0 first.Builder.rows_restored;
       check "first run matches plain build" true
         (matrices_equal reference.Builder.matrix first.Builder.matrix);
-      let resumed = build_ck p tpg ~checkpoint:dir () in
+      drop_matrix_stage store;
+      let resumed = build p tpg ~store () in
       check_int "full restore"
-        (Array.length p.Suite.tests)
+        (Matrix.rows reference.Builder.matrix)
         resumed.Builder.rows_restored;
       check "resumed matrix bit-identical" true
         (matrices_equal reference.Builder.matrix resumed.Builder.matrix);
       check "useful cycles restored" true
         (reference.Builder.useful_cycles = resumed.Builder.useful_cycles))
 
-let test_checkpoint_truncated_chunk_is_resimulated () =
-  let p = Lazy.force prepared_c17 in
+(* A damaged shard fails its checksum: its rows are re-simulated, never
+   trusted.  c17 fits in one shard, so nothing is restored. *)
+let damaged_shard_is_resimulated damage =
+  let p = c17_input () in
   let tpg = Accumulator.adder 5 in
-  let reference = build_ck p tpg () in
-  with_temp_dir (fun dir ->
-      ignore (build_ck p tpg ~checkpoint:dir ());
-      (* Kill mid-write: truncate the first chunk inside a row record. *)
-      let chunk =
-        Array.to_list (Sys.readdir dir)
-        |> List.filter (fun n -> Filename.check_suffix n ".ck")
-        |> List.sort compare |> List.hd |> Filename.concat dir
-      in
-      let size = (Unix.stat chunk).Unix.st_size in
-      let fd = Unix.openfile chunk [ Unix.O_WRONLY ] 0 in
-      Unix.ftruncate fd (size / 2);
-      Unix.close fd;
-      let resumed = build_ck p tpg ~checkpoint:dir () in
-      (* c17 fits in one chunk, so truncation can drop everything; what
-         matters is that the damaged chunk is not trusted. *)
-      check "truncated chunk dropped" true
-        (resumed.Builder.rows_restored < Array.length p.Suite.tests);
+  let reference = build p tpg () in
+  with_temp_store (fun store ->
+      ignore (build p tpg ~store ());
+      drop_matrix_stage store;
+      damage (first_shard store);
+      let resumed = build p tpg ~store () in
+      check_int "damaged shard dropped" 0 resumed.Builder.rows_restored;
       check "matrix still bit-identical" true
         (matrices_equal reference.Builder.matrix resumed.Builder.matrix))
 
-let test_checkpoint_corrupt_payload_is_resimulated () =
-  let p = Lazy.force prepared_c17 in
-  let tpg = Accumulator.adder 5 in
-  let reference = build_ck p tpg () in
-  with_temp_dir (fun dir ->
-      ignore (build_ck p tpg ~checkpoint:dir ());
-      let chunk =
-        Array.to_list (Sys.readdir dir)
-        |> List.filter (fun n -> Filename.check_suffix n ".ck")
-        |> List.sort compare |> List.hd |> Filename.concat dir
-      in
-      (* Flip one payload byte: the checksum must catch it. *)
-      let fd = Unix.openfile chunk [ Unix.O_RDWR ] 0 in
-      ignore (Unix.lseek fd 45 Unix.SEEK_SET);
+let test_resume_truncated_shard_is_resimulated () =
+  damaged_shard_is_resimulated (fun shard ->
+      (* Kill mid-write: cut the shard inside its payload. *)
+      let size = (Unix.stat shard).Unix.st_size in
+      let fd = Unix.openfile shard [ Unix.O_WRONLY ] 0 in
+      Unix.ftruncate fd (size - 3);
+      Unix.close fd)
+
+let test_resume_flipped_shard_is_resimulated () =
+  damaged_shard_is_resimulated (fun shard ->
+      (* Flip the low bit of the last payload byte: the checksum must
+         catch it. *)
+      let fd = Unix.openfile shard [ Unix.O_RDWR ] 0 in
+      let last = (Unix.fstat fd).Unix.st_size - 1 in
+      ignore (Unix.lseek fd last Unix.SEEK_SET);
       let b = Bytes.create 1 in
       ignore (Unix.read fd b 0 1);
-      Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xff));
-      ignore (Unix.lseek fd 45 Unix.SEEK_SET);
+      Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 1));
+      ignore (Unix.lseek fd last Unix.SEEK_SET);
       ignore (Unix.write fd b 0 1);
-      Unix.close fd;
-      let resumed = build_ck p tpg ~checkpoint:dir () in
-      check "corrupt chunk dropped" true
-        (resumed.Builder.rows_restored < Array.length p.Suite.tests);
-      check "matrix still bit-identical" true
-        (matrices_equal reference.Builder.matrix resumed.Builder.matrix))
+      Unix.close fd)
 
-let test_checkpoint_fingerprint_mismatch_resets () =
-  let p = Lazy.force prepared_c17 in
+let test_resume_other_cycles_restores_nothing () =
+  let p = c17_input () in
   let tpg = Accumulator.adder 5 in
-  with_temp_dir (fun dir ->
-      ignore (build_ck p tpg ~checkpoint:dir ());
-      (* Different evolution length → different matrix → the stale chunks
-         must be wiped, not restored. *)
-      let other_config = { Builder.default_config with Builder.cycles = 40 } in
-      let other =
-        Builder.build ~checkpoint:dir p.Suite.sim tpg ~tests:p.Suite.tests
-          ~targets:p.Suite.targets ~config:other_config
-      in
-      check_int "stale chunks not restored" 0 other.Builder.rows_restored;
-      let reference =
-        Builder.build p.Suite.sim tpg ~tests:p.Suite.tests ~targets:p.Suite.targets
-          ~config:other_config
-      in
+  with_temp_store (fun store ->
+      ignore (build p tpg ~store ());
+      drop_matrix_stage store;
+      (* Different evolution length → different matrix fingerprint → the
+         stored shards describe another build and must not be restored. *)
+      let config = { Builder.default_config with Builder.cycles = 40 } in
+      let other = build p tpg ~store ~config () in
+      check_int "stale shards not restored" 0 other.Builder.rows_restored;
+      let reference = build p tpg ~config () in
       check "fresh matrix correct" true
         (matrices_equal reference.Builder.matrix other.Builder.matrix))
 
-let test_checkpoint_interrupted_build_resumes_bit_identically () =
-  (* Cancel the budget part-way through a checkpointed build (after the
-     first chunk, via a budget that a worker trips), then resume without
-     a budget: D and the final solution must match an uninterrupted run. *)
-  let p = Lazy.force prepared_c17 in
-  let tpg = Accumulator.adder 5 in
-  let reference = build_ck p tpg () in
+(* Forty rows — three shards — over a small generated circuit. *)
+let forty_row_input () =
+  let spec =
+    { (Generator.default_spec "resume" ~inputs:8 ~outputs:3 ~gates:60)
+      with Generator.seed = 4242 }
+  in
+  let c = Generator.generate spec in
+  let faults = Fault.all c in
+  let rng = Rng.create 7 in
+  let targets = Bitvec.create (Array.length faults) in
+  Bitvec.fill_all targets;
+  ( Fault_sim.create c faults,
+    Array.init 40 (fun _ -> Array.init 8 (fun _ -> Rng.bool rng)),
+    targets )
+
+let test_resume_after_cancel_bit_identical () =
+  (* Cancel the build part-way through its second shard — the TPG trips
+     the budget after seventeen bursts' worth of steps, past the first
+     shard's sixteen rows — then rerun against the same store without a budget: only the first
+     shard is restored, and D and the final solution must match an
+     uninterrupted run. *)
+  let p = forty_row_input () in
+  let tpg = Accumulator.adder 8 in
+  let reference = build p tpg () in
   let ref_solution = Solution.solve reference.Builder.matrix in
-  with_temp_dir (fun dir ->
+  with_temp_store (fun store ->
       let budget = Budget.create () in
-      Budget.cancel budget;
-      let partial = build_ck p tpg ~budget ~checkpoint:dir () in
+      let steps = Atomic.make 0 in
+      let tripping =
+        {
+          tpg with
+          Tpg.step =
+            (fun ~state ~operand ->
+              if Atomic.fetch_and_add steps 1 = 17 * Builder.default_config.cycles
+              then Budget.cancel budget;
+              tpg.Tpg.step ~state ~operand);
+        }
+      in
+      let partial = build p tripping ~budget ~store () in
       check "interrupted run incomplete" true (partial.Builder.rows_skipped > 0);
-      let resumed = build_ck p tpg ~checkpoint:dir () in
+      let resumed = build p tpg ~store () in
+      check_int "first shard restored" 16 resumed.Builder.rows_restored;
       check_int "no rows skipped after resume" 0 resumed.Builder.rows_skipped;
       check "resumed D bit-identical" true
         (matrices_equal reference.Builder.matrix resumed.Builder.matrix);
@@ -350,15 +384,15 @@ let suite =
         Alcotest.test_case "flow: degraded result is sound" `Quick
           test_flow_degraded_result_is_sound;
         Alcotest.test_case "checkpoint: roundtrip bit-identical" `Quick
-          test_checkpoint_roundtrip_bit_identical;
+          test_resume_roundtrip_bit_identical;
         Alcotest.test_case "checkpoint: truncated chunk re-simulated" `Quick
-          test_checkpoint_truncated_chunk_is_resimulated;
+          test_resume_truncated_shard_is_resimulated;
         Alcotest.test_case "checkpoint: corrupt payload re-simulated" `Quick
-          test_checkpoint_corrupt_payload_is_resimulated;
-        Alcotest.test_case "checkpoint: fingerprint mismatch resets" `Quick
-          test_checkpoint_fingerprint_mismatch_resets;
+          test_resume_flipped_shard_is_resimulated;
+        Alcotest.test_case "checkpoint: fingerprint mismatch restores nothing" `Quick
+          test_resume_other_cycles_restores_nothing;
         Alcotest.test_case "checkpoint: interrupt + resume = uninterrupted" `Quick
-          test_checkpoint_interrupted_build_resumes_bit_identically;
+          test_resume_after_cancel_bit_identical;
         Alcotest.test_case "pool: task error carries context" `Quick
           test_pool_task_error_context;
         Alcotest.test_case "pool: transient failure retried once" `Quick

@@ -115,7 +115,7 @@ let build_fixture () =
   let faults = Fault.all c in
   let sim = Fault_sim.create c faults in
   let rng = Rng.create 7 in
-  (* More rows than Checkpoint.chunk_rows, so the sharded build spans
+  (* More rows than one 16-row shard, so the sharded build spans
      several shard artifacts. *)
   let tests = Array.init 40 (fun _ -> Array.init 8 (fun _ -> Rng.bool rng)) in
   let targets = Bitvec.create (Array.length faults) in
