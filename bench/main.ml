@@ -435,21 +435,24 @@ let run_ablation () =
   Table.print t2
 
 (* CI gate: every engine must grade every fault of every pattern
-   identically; exits non-zero on the first divergence.  Also prints the
-   propagation-count ratio the CPT engines buy. *)
+   identically; exits non-zero on the first divergence.  Covers the
+   stuck-at model on small and scaled circuits and the transition model's
+   launch/capture path, and prints the propagation-count ratio the CPT
+   kernel buys. *)
 let run_enginecheck () =
-  log "== Engine cross-check (event vs cpt vs hybrid) ==";
+  log "== Engine cross-check (event oracle vs the cpt/hybrid kernel) ==";
   let module FS = Reseed_fault.Fault_sim in
+  let module FM = Reseed_fault.Fault_model in
   let mismatches = ref 0 in
   List.iter
-    (fun name ->
+    (fun (name, model) ->
       let c = Library.load name in
-      let faults = Reseed_fault.Fault.all c in
+      let faults = FM.faults model c in
       let rng = Rng.create 97 in
       let n = Circuit.input_count c in
       let patterns = Array.init 150 (fun _ -> Array.init n (fun _ -> Rng.bool rng)) in
       let grade engine =
-        let sim = FS.create ~engine c faults in
+        let sim = FS.create ~engine ~model c faults in
         let map = FS.detection_map sim patterns in
         let detections = Array.fold_left (fun acc row -> acc + Bitvec.count row) 0 map in
         (map, detections, FS.event_propagations sim)
@@ -463,12 +466,19 @@ let run_enginecheck () =
             && Array.for_all2 Bitvec.equal map ev_map
           in
           if not identical then incr mismatches;
-          log "  [%s] %-6s: %d detections (event %d), %d props (event %d, %.1fx)%s"
-            name (FS.engine_name engine) det ev_det props ev_props
+          log "  [%s %s] %-6s: %d detections (event %d), %d props (event %d, %.1fx)%s"
+            name (FM.name model) (FS.engine_name engine) det ev_det props ev_props
             (float_of_int ev_props /. float_of_int (max 1 props))
             (if identical then "" else "  ** MISMATCH **"))
         [ FS.Cpt; FS.Hybrid ])
-    [ "c17"; "c432"; "s420" ];
+    [
+      ("c17", FM.Stuck_at);
+      ("c432", FM.Stuck_at);
+      ("s420", FM.Stuck_at);
+      ("s953_x4", FM.Stuck_at);
+      ("c432", FM.Transition_delay);
+      ("s953_x2", FM.Transition_delay);
+    ];
   if !mismatches > 0 then begin
     log "enginecheck FAILED: %d engine(s) diverged from the event oracle" !mismatches;
     exit 1

@@ -29,18 +29,19 @@ type t = {
       (* false on a sweep's first block: lane 0 has no launch pattern *)
   ffr : Ffr.t;
   po_position : int array; (* node -> PO index, or -1 *)
-  prop_stems : int array;
-      (* stems whose observability needs a flip propagation — they reach a
-         PO without being one; descending (reverse-topological) order so
-         an eager sweep finishes downstream stems first *)
-  (* Event-propagation scratch reused across injections; [stamp]/[in_heap]
-     hold the id of the propagation that last wrote them, so no clearing
-     is ever needed. *)
+  level_off : int array;
+      (* level -> first slot of its bucket in [queue]; each bucket has one
+         slot per node at that level.  Immutable, shared by copies. *)
+  (* Propagation scratch reused across injections; [stamp]/[queued] hold
+     the id of the propagation that last wrote them, so no clearing is
+     ever needed. *)
   stamp : int array;
   fval : int array;
-  heap : int array;
-  mutable heap_len : int;
-  in_heap : int array;
+  queue : int array;
+  level_cnt : int array; (* pending nodes per level *)
+  queued : int array;
+  mutable lo : int; (* no pending node sits below this level *)
+  mutable pending : int;
   mutable cur : int;
   (* Per-block CPT scratch, invalidated by bumping [block]. *)
   mutable block : int;
@@ -48,90 +49,87 @@ type t = {
   obs_stamp : int array;
   sens : int array; (* node -> word of patterns where flipping it is detected *)
   sens_stamp : int array;
+  path : int array; (* [sens]'s FFR-path stack, shared by nested calls *)
+  mutable sp : int;
   mutable sims : int;
   mutable props : int;
 }
 
-let scratch n =
-  ( Array.make n (-1),
-    Array.make n 0,
-    Array.make (max 16 n) 0,
-    Array.make n (-1),
-    Array.make n 0,
-    Array.make n (-1),
-    Array.make n 0,
-    Array.make n (-1) )
+(* Fresh scratch over the same immutable circuit/fault/FFR/PO/level
+   arrays: the copy can run [process] concurrently with the original from
+   another domain.  Its work counters start at zero so per-worker tallies
+   can be summed back with [merge_sims]. *)
+let copy t =
+  let n = Circuit.node_count t.circuit in
+  {
+    t with
+    launch_prev = Bytes.make n '\000';
+    launch_valid = false;
+    stamp = Array.make n (-1);
+    fval = Array.make n 0;
+    queue = Array.make n 0;
+    level_cnt = Array.make (Array.length t.level_off) 0;
+    queued = Array.make n (-1);
+    lo = 0;
+    pending = 0;
+    cur = -1;
+    block = 0;
+    obs = Array.make n 0;
+    obs_stamp = Array.make n (-1);
+    sens = Array.make n 0;
+    sens_stamp = Array.make n (-1);
+    path = Array.make n 0;
+    sp = 0;
+    sims = 0;
+    props = 0;
+  }
 
 let create ?(engine = Hybrid) ?(model = Fault_model.Stuck_at) circuit faults =
   let n = Circuit.node_count circuit in
   let po_position = Array.make n (-1) in
   Array.iteri (fun pos node -> po_position.(node) <- pos) circuit.Circuit.outputs;
-  let ffr = Ffr.compute circuit in
-  let prop_stems =
-    Array.fold_left
-      (fun acc s ->
-        if po_position.(s) < 0 && Ffr.reaches_po ffr s then s :: acc else acc)
-      [] (Ffr.stems ffr)
-    |> Array.of_list
-  in
-  let stamp, fval, heap, in_heap, obs, obs_stamp, sens, sens_stamp = scratch n in
+  let level_off = Array.make (Circuit.max_level circuit + 2) 0 in
+  Array.iter (fun l -> level_off.(l + 1) <- level_off.(l + 1) + 1) circuit.Circuit.level;
+  for l = 1 to Array.length level_off - 1 do
+    level_off.(l) <- level_off.(l) + level_off.(l - 1)
+  done;
   let site_sig =
     match model with
     | Fault_model.Stuck_at -> [||]
     | Fault_model.Transition_delay ->
         Array.map (Fault_model.site_signal circuit) faults
   in
-  {
-    circuit;
-    faults;
-    engine;
-    model;
-    site_sig;
-    launch_prev = Bytes.make n '\000';
-    launch_valid = false;
-    ffr;
-    po_position;
-    prop_stems;
-    stamp;
-    fval;
-    heap;
-    heap_len = 0;
-    in_heap;
-    cur = -1;
-    block = 0;
-    obs;
-    obs_stamp;
-    sens;
-    sens_stamp;
-    sims = 0;
-    props = 0;
-  }
-
-(* Fresh scratch over the same immutable circuit/fault/FFR/PO-map arrays:
-   the copy can run [process] concurrently with the original from another
-   domain.  Its work counters start at zero so per-worker tallies can be
-   summed back with [merge_sims]. *)
-let copy t =
-  let n = Circuit.node_count t.circuit in
-  let stamp, fval, heap, in_heap, obs, obs_stamp, sens, sens_stamp = scratch n in
-  {
-    t with
-    launch_prev = Bytes.make n '\000';
-    launch_valid = false;
-    stamp;
-    fval;
-    heap;
-    heap_len = 0;
-    in_heap;
-    cur = -1;
-    block = 0;
-    obs;
-    obs_stamp;
-    sens;
-    sens_stamp;
-    sims = 0;
-    props = 0;
-  }
+  (* The shared part; [copy] attaches the per-domain scratch. *)
+  copy
+    {
+      circuit;
+      faults;
+      engine;
+      model;
+      site_sig;
+      launch_prev = Bytes.empty;
+      launch_valid = false;
+      ffr = Ffr.compute circuit;
+      po_position;
+      level_off;
+      stamp = [||];
+      fval = [||];
+      queue = [||];
+      level_cnt = [||];
+      queued = [||];
+      lo = 0;
+      pending = 0;
+      cur = -1;
+      block = 0;
+      obs = [||];
+      obs_stamp = [||];
+      sens = [||];
+      sens_stamp = [||];
+      path = [||];
+      sp = 0;
+      sims = 0;
+      props = 0;
+    }
 
 let shard t n =
   if n < 1 then invalid_arg "Fault_sim.shard: need at least one shard";
@@ -156,79 +154,102 @@ let sims_performed t = t.sims
 let event_propagations t = t.props
 let engine t = t.engine
 
-(* Min-heap over node indices: pops nodes in topological order so every
-   fanin is final before a node is evaluated. *)
-let heap_push t i =
-  if t.in_heap.(i) <> t.cur then begin
-    t.in_heap.(i) <- t.cur;
-    let pos = ref t.heap_len in
-    t.heap_len <- t.heap_len + 1;
-    t.heap.(!pos) <- i;
-    let continue = ref true in
-    while !continue && !pos > 0 do
-      let parent = (!pos - 1) / 2 in
-      if t.heap.(parent) > t.heap.(!pos) then begin
-        let tmp = t.heap.(parent) in
-        t.heap.(parent) <- t.heap.(!pos);
-        t.heap.(!pos) <- tmp;
-        pos := parent
-      end
-      else continue := false
-    done
+(* Level-bucket event queue.  Every fanin sits at a lower level than its
+   gate, so popping the lowest pending level is a topological order: a
+   node is evaluated only once all its fanins are final.  A propagation
+   pushes only above the level it is popping, so [lo] never moves down:
+   push is O(1), and pop's scan over empty levels costs at most the
+   circuit depth per propagation. *)
+let push t i =
+  if t.queued.(i) <> t.cur then begin
+    t.queued.(i) <- t.cur;
+    let l = t.circuit.Circuit.level.(i) in
+    let c = t.level_cnt.(l) in
+    t.queue.(t.level_off.(l) + c) <- i;
+    t.level_cnt.(l) <- c + 1;
+    t.pending <- t.pending + 1
   end
 
-let heap_pop t =
-  let top = t.heap.(0) in
-  t.heap_len <- t.heap_len - 1;
-  t.heap.(0) <- t.heap.(t.heap_len);
-  let pos = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let l = (2 * !pos) + 1 and r = (2 * !pos) + 2 in
-    let smallest = ref !pos in
-    if l < t.heap_len && t.heap.(l) < t.heap.(!smallest) then smallest := l;
-    if r < t.heap_len && t.heap.(r) < t.heap.(!smallest) then smallest := r;
-    if !smallest <> !pos then begin
-      let tmp = t.heap.(!smallest) in
-      t.heap.(!smallest) <- t.heap.(!pos);
-      t.heap.(!pos) <- tmp;
-      pos := !smallest
-    end
-    else continue := false
+let pop t =
+  while t.level_cnt.(t.lo) = 0 do
+    t.lo <- t.lo + 1
   done;
-  top
+  let c = t.level_cnt.(t.lo) - 1 in
+  t.level_cnt.(t.lo) <- c;
+  t.pending <- t.pending - 1;
+  t.queue.(t.level_off.(t.lo) + c)
+
+let push_fanouts t i =
+  let fanouts = t.circuit.Circuit.fanouts.(i) in
+  for k = 0 to Array.length fanouts - 1 do
+    push t fanouts.(k)
+  done
+
+(* Start propagation [cur] (already bumped by the caller): node [s] takes
+   the faulty word [v] and its fanouts, all above [s]'s level, are queued. *)
+let inject t s v =
+  t.props <- t.props + 1;
+  t.stamp.(s) <- t.cur;
+  t.fval.(s) <- v;
+  t.lo <- t.circuit.Circuit.level.(s) + 1;
+  push_fanouts t s
 
 let full = max_int
 
-(* Value of node [f] as seen by the faulty machine of the current fault. *)
-let value t (good : int array) f =
-  if t.stamp.(f) = t.cur then t.fval.(f) else good.(f)
+(* Faulty-machine value of fanin [j] of [fanins]; [force_pin] pins one
+   fanin to [force_word] (a [Pin] fault), [-1] pins none. *)
+let arg t (good : int array) fanins j force_pin force_word =
+  if j = force_pin then force_word
+  else
+    let f = fanins.(j) in
+    if t.stamp.(f) = t.cur then t.fval.(f) else good.(f)
 
-(* Re-evaluate node [i] in the faulty machine.  For a [Pin] fault at this
-   node, [force_pin >= 0] pins that fanin to [force_word]. *)
+(* Re-evaluate node [i] in the faulty machine.  Every gate is a plain loop
+   over its fanins: without flambda a local fold closure would allocate on
+   each of the engine's hundreds of millions of calls. *)
 let eval_faulty t good i ~force_pin ~force_word =
   let node = t.circuit.Circuit.nodes.(i) in
   let fanins = node.Circuit.fanins in
-  let arg j = if j = force_pin then force_word else value t good fanins.(j) in
-  let fold op seed =
-    let acc = ref seed in
-    for j = 0 to Array.length fanins - 1 do
-      acc := op !acc (arg j)
-    done;
-    !acc
-  in
+  let last = Array.length fanins - 1 in
   match node.Circuit.kind with
-  | Gate.Input -> value t good i
-  | Gate.Buf -> arg 0
-  | Gate.Not -> lnot (arg 0) land full
-  | Gate.And -> fold ( land ) full
-  | Gate.Nand -> lnot (fold ( land ) full) land full
-  | Gate.Or -> fold ( lor ) 0
-  | Gate.Nor -> lnot (fold ( lor ) 0) land full
-  | Gate.Xor -> fold ( lxor ) 0
-  | Gate.Xnor -> lnot (fold ( lxor ) 0) land full
+  | Gate.Input -> if t.stamp.(i) = t.cur then t.fval.(i) else good.(i)
   | Gate.Const0 -> 0
   | Gate.Const1 -> full
+  | Gate.Buf -> arg t good fanins 0 force_pin force_word
+  | Gate.Not -> lnot (arg t good fanins 0 force_pin force_word) land full
+  | (Gate.And | Gate.Nand) as k ->
+      let acc = ref full in
+      for j = 0 to last do
+        acc := !acc land arg t good fanins j force_pin force_word
+      done;
+      if k = Gate.And then !acc else lnot !acc land full
+  | (Gate.Or | Gate.Nor) as k ->
+      let acc = ref 0 in
+      for j = 0 to last do
+        acc := !acc lor arg t good fanins j force_pin force_word
+      done;
+      if k = Gate.Or then !acc else lnot !acc land full
+  | (Gate.Xor | Gate.Xnor) as k ->
+      let acc = ref 0 in
+      for j = 0 to last do
+        acc := !acc lxor arg t good fanins j force_pin force_word
+      done;
+      if k = Gate.Xor then !acc else lnot !acc land full
+
+(* Pop the lowest pending node and evaluate it in the faulty machine; if
+   it differs, record its value and queue its fanouts.  Returns [detect]
+   extended by the node's difference when it drives a primary output. *)
+let step t (good : int array) mask detect =
+  let i = pop t in
+  let v = eval_faulty t good i ~force_pin:(-1) ~force_word:0 in
+  let diff = (v lxor good.(i)) land mask in
+  if diff = 0 then detect
+  else begin
+    t.stamp.(i) <- t.cur;
+    t.fval.(i) <- v;
+    push_fanouts t i;
+    if t.po_position.(i) >= 0 then detect lor diff else detect
+  end
 
 (* --- Event engine: single-fault event-driven propagation -------------- *)
 
@@ -238,36 +259,27 @@ let process t (good : int array) mask (fault : Fault.t) =
   t.cur <- t.cur + 1;
   t.sims <- t.sims + 1;
   let stuck_word = if fault.Fault.stuck then full else 0 in
-  let site, site_value =
+  let site =
+    match fault.Fault.site with Fault.Out g -> g | Fault.Pin { gate; _ } -> gate
+  in
+  let site_value =
     match fault.Fault.site with
-    | Fault.Out g -> (g, stuck_word)
+    | Fault.Out _ -> stuck_word
     | Fault.Pin { gate; pin } ->
-        (gate, eval_faulty t good gate ~force_pin:pin ~force_word:stuck_word)
+        eval_faulty t good gate ~force_pin:pin ~force_word:stuck_word
   in
   let diff0 = (site_value lxor good.(site)) land mask in
   if diff0 = 0 then 0
   else begin
-    t.props <- t.props + 1;
-    t.stamp.(site) <- t.cur;
-    t.fval.(site) <- site_value;
+    inject t site site_value;
     let detect = ref (if t.po_position.(site) >= 0 then diff0 else 0) in
-    t.heap_len <- 0;
-    Array.iter (fun s -> heap_push t s) t.circuit.Circuit.fanouts.(site);
-    while t.heap_len > 0 do
-      let i = heap_pop t in
-      let v = eval_faulty t good i ~force_pin:(-1) ~force_word:0 in
-      let diff = (v lxor good.(i)) land mask in
-      if diff <> 0 then begin
-        t.stamp.(i) <- t.cur;
-        t.fval.(i) <- v;
-        if t.po_position.(i) >= 0 then detect := !detect lor diff;
-        Array.iter (fun s -> heap_push t s) t.circuit.Circuit.fanouts.(i)
-      end
+    while t.pending > 0 do
+      detect := step t good mask !detect
     done;
     !detect
   end
 
-(* --- CPT engine: critical-path tracing over fanout-free regions ------- *)
+(* --- CPT kernel: lazy critical-path tracing over fanout-free regions -- *)
 
 (* Word of patterns where flipping fanin [pin] of gate [i] flips the
    gate's output, all other fanins held at their good values.  Gate-level
@@ -275,77 +287,60 @@ let process t (good : int array) mask (fault : Fault.t) =
 let deriv t (good : int array) i ~pin =
   let node = t.circuit.Circuit.nodes.(i) in
   let fanins = node.Circuit.fanins in
-  let fold_others op seed =
-    let acc = ref seed in
-    for j = 0 to Array.length fanins - 1 do
-      if j <> pin then acc := op !acc good.(fanins.(j))
-    done;
-    !acc
-  in
   match node.Circuit.kind with
   | Gate.Buf | Gate.Not | Gate.Xor | Gate.Xnor -> full
-  | Gate.And | Gate.Nand -> fold_others ( land ) full
-  | Gate.Or | Gate.Nor -> lnot (fold_others ( lor ) 0) land full
+  | Gate.And | Gate.Nand ->
+      let acc = ref full in
+      for j = 0 to Array.length fanins - 1 do
+        if j <> pin then acc := !acc land good.(fanins.(j))
+      done;
+      !acc
+  | Gate.Or | Gate.Nor ->
+      let acc = ref 0 in
+      for j = 0 to Array.length fanins - 1 do
+        if j <> pin then acc := !acc lor good.(fanins.(j))
+      done;
+      lnot !acc land full
   | Gate.Input | Gate.Const0 | Gate.Const1 ->
       (* gates with fanins only *)
       assert false
 
 let pin_of t g p =
   let fanins = t.circuit.Circuit.nodes.(g).Circuit.fanins in
-  let rec go j = if fanins.(j) = p then j else go (j + 1) in
-  go 0
+  let j = ref 0 in
+  while fanins.(!j) <> p do
+    incr j
+  done;
+  !j
 
 (* Observability word of stem [s]: patterns where complementing [s]
-   changes some primary output.  Exact for single faults funnelled through
-   [s] because the faulty machine downstream of [s] coincides, lane by
-   lane, with the flip simulation.  Computed by one event-driven
-   propagation of the flip; under [Hybrid] the propagation hands off early
-   when the difference frontier collapses onto a single downstream stem
-   whose observability is already known for this block — by construction
-   all remaining fault effects funnel through that stem (its fanout cone
-   is the only un-evaluated region left), which in practice fires at the
-   stem's immediate dominator chain. *)
-let compute_obs t (good : int array) mask s =
+   changes some primary output.  One level-ordered event propagation of
+   the flip, handed off as soon as exactly one node [i] is pending: every
+   difference evaluated so far has had all its fanouts evaluated except
+   [i], and nothing above [i]'s level has been touched, so the rest of
+   the faulty machine is [i]'s flip restricted to the lanes where [i]
+   differs — [i] is the flip's immediate dominator on this block.  The
+   answer is then [diff_i ∧ sens i], recursing into the memoised
+   observability of the stem downstream. *)
+let rec compute_obs t (good : int array) mask s =
   if not (Ffr.reaches_po t.ffr s) then 0
   else if t.po_position.(s) >= 0 then mask (* flips are their own witness *)
   else begin
     t.cur <- t.cur + 1;
-    t.props <- t.props + 1;
-    t.stamp.(s) <- t.cur;
-    t.fval.(s) <- lnot good.(s) land full;
+    inject t s (lnot good.(s) land full);
     let detect = ref 0 in
-    t.heap_len <- 0;
-    Array.iter (fun q -> heap_push t q) t.circuit.Circuit.fanouts.(s);
-    let chain = t.engine = Hybrid in
-    let running = ref true in
-    while !running && t.heap_len > 0 do
-      if
-        chain && t.heap_len = 1
-        && Ffr.is_stem t.ffr t.heap.(0)
-        && t.obs_stamp.(t.heap.(0)) = t.block
-      then begin
-        let x = heap_pop t in
-        let v = eval_faulty t good x ~force_pin:(-1) ~force_word:0 in
-        let diff = (v lxor good.(x)) land mask in
-        detect := !detect lor (diff land t.obs.(x));
-        running := false
-      end
-      else begin
-        let i = heap_pop t in
-        let v = eval_faulty t good i ~force_pin:(-1) ~force_word:0 in
-        let diff = (v lxor good.(i)) land mask in
-        if diff <> 0 then begin
-          t.stamp.(i) <- t.cur;
-          t.fval.(i) <- v;
-          if t.po_position.(i) >= 0 then detect := !detect lor diff;
-          Array.iter (fun q -> heap_push t q) t.circuit.Circuit.fanouts.(i)
-        end
-      end
+    (* [s] reaches a PO without being one, so it has fanouts: the loop
+       ends with exactly one node pending. *)
+    while t.pending > 1 do
+      detect := step t good mask !detect
     done;
-    !detect
+    let i = pop t in
+    let v = eval_faulty t good i ~force_pin:(-1) ~force_word:0 in
+    let diff = (v lxor good.(i)) land mask in
+    if diff = 0 then !detect else !detect lor (diff land sens t good mask i)
   end
 
-let obs t good mask s =
+and obs t good mask s =
   if t.obs_stamp.(s) = t.block then t.obs.(s)
   else begin
     let v = compute_obs t good mask s in
@@ -356,16 +351,17 @@ let obs t good mask s =
 
 (* Detectability of a flip appearing at node [n]: the chain of single-path
    gate derivatives down to [n]'s FFR stem, ANDed with the stem's
-   observability.  Memoised per block along the walked path. *)
-let sens t good mask n =
+   observability.  Memoised per block along the walked path, which is
+   kept on the [path] stack above any segment an enclosing call owns. *)
+and sens t good mask n =
   if t.sens_stamp.(n) = t.block then t.sens.(n)
   else begin
-    (* Ascend the unique fanout path to the first memoised node or stem;
-       [path] ends up ordered stem-side first. *)
-    let path = ref [] in
+    (* Ascend the unique fanout path to the first memoised node or stem. *)
+    let base = t.sp in
     let top = ref n in
     while t.sens_stamp.(!top) <> t.block && not (Ffr.is_stem t.ffr !top) do
-      path := !top :: !path;
+      t.path.(t.sp) <- !top;
+      t.sp <- t.sp + 1;
       top := t.circuit.Circuit.fanouts.(!top).(0)
     done;
     let acc = ref 0 in
@@ -375,14 +371,16 @@ let sens t good mask n =
       t.sens.(!top) <- !acc;
       t.sens_stamp.(!top) <- t.block
     end;
-    List.iter
-      (fun p ->
-        (if !acc <> 0 then
-           let g = t.circuit.Circuit.fanouts.(p).(0) in
-           acc := !acc land deriv t good g ~pin:(pin_of t g p));
-        t.sens.(p) <- !acc;
-        t.sens_stamp.(p) <- t.block)
-      !path;
+    (* Descend back towards [n], stem side first. *)
+    while t.sp > base do
+      t.sp <- t.sp - 1;
+      let p = t.path.(t.sp) in
+      (if !acc <> 0 then
+         let g = t.circuit.Circuit.fanouts.(p).(0) in
+         acc := !acc land deriv t good g ~pin:(pin_of t g p));
+      t.sens.(p) <- !acc;
+      t.sens_stamp.(p) <- t.block
+    done;
     !acc
   end
 
@@ -401,36 +399,14 @@ let process_cpt t (good : int array) mask (fault : Fault.t) =
       let diff = (v lxor good.(gate)) land mask in
       if diff = 0 then 0 else diff land sens t good mask gate
 
-(* --- Per-block engine dispatch ---------------------------------------- *)
-
-type mode = Mode_event | Mode_cpt
-
-(* [Hybrid] falls back to per-fault event propagation when the live fault
-   set is sparse (fault-dropping tails): tracing then costs fewer
-   propagations than refreshing every stem's observability would. *)
-let begin_block t good mask ~live =
-  t.block <- t.block + 1;
+(* [Cpt] and [Hybrid] name the same kernel (see the interface). *)
+let grade t good mask fault =
   match t.engine with
-  | Event -> Mode_event
-  | Cpt -> Mode_cpt
-  | Hybrid ->
-      if 2 * live >= Array.length t.prop_stems then begin
-        (* Eager reverse-topological observability sweep: every stem's
-           downstream stems are finished first, so each flip propagation
-           stops at the first dominating stem instead of walking its whole
-           fanout cone to the primary outputs. *)
-        Array.iter (fun s -> ignore (obs t good mask s)) t.prop_stems;
-        Mode_cpt
-      end
-      else Mode_event
-
-let process_mode t good mask mode fault =
-  match mode with
-  | Mode_event -> process t good mask fault
-  | Mode_cpt -> process_cpt t good mask fault
+  | Event -> process t good mask fault
+  | Cpt | Hybrid -> process_cpt t good mask fault
 
 (* Per-fault dispatch with the fault model applied.  Under [Stuck_at]
-   this is [process_mode] verbatim.  Under [Transition_delay] the
+   this is [grade] verbatim.  Under [Transition_delay] the
    capture-cycle detection word the stuck-at engines computed is masked
    down to the lanes whose {e preceding} pattern put the launch signal at
    the fault's slow initial value (= the capture stuck value): lane [k]'s
@@ -439,11 +415,11 @@ let process_mode t good mask mode fault =
    a sweep's first block has no launch pattern at all and is masked
    out.  The [sims]/[props] accounting is the capture grade's, so the
    cost metrics stay comparable across models. *)
-let process_fault t good mask mode fi fault =
+let process_fault t good mask fi fault =
   match t.model with
-  | Fault_model.Stuck_at -> process_mode t good mask mode fault
+  | Fault_model.Stuck_at -> grade t good mask fault
   | Fault_model.Transition_delay ->
-      let d = process_mode t good mask mode fault in
+      let d = grade t good mask fault in
       if d = 0 then 0
       else begin
         let s = Array.unsafe_get t.site_sig fi in
@@ -474,6 +450,7 @@ let iter_blocks ?budget ?(stop = fun () -> false) t patterns f =
     let block = Logic_sim.pack t.circuit (Array.sub patterns !base len) in
     let good = Logic_sim.simulate t.circuit block in
     let mask = Logic_sim.valid_mask block.Logic_sim.width in
+    t.block <- t.block + 1 (* new good values: drop the CPT memo *);
     f ~base:!base ~good ~mask;
     if t.model = Fault_model.Transition_delay then begin
       let last = len - 1 in
@@ -512,10 +489,9 @@ let detection_map ?budget t patterns =
   let total = Array.length patterns in
   let result = Array.init (fault_count t) (fun _ -> Bitvec.create total) in
   iter_blocks ?budget t patterns (fun ~base ~good ~mask ->
-      let mode = begin_block t good mask ~live:(fault_count t) in
       Array.iteri
         (fun fi fault ->
-          let d = process_fault t good mask mode fi fault in
+          let d = process_fault t good mask fi fault in
           if d <> 0 then
             (* [d land mask] keeps every set lane below the block length,
                so [base + k] is always in range. *)
@@ -533,7 +509,6 @@ let detected_set ?budget t patterns ~active =
   let remaining = ref (Bitvec.count active) in
   iter_blocks ?budget ~stop:(fun () -> !remaining = 0) t patterns
     (fun ~base:_ ~good ~mask ->
-      let mode = begin_block t good mask ~live:!remaining in
       (* [fi] ranges over the fault array, whose length both vectors were
          checked (or built) to match — the per-fault test is the hottest
          line of the sweep, so skip the bounds checks. *)
@@ -541,7 +516,7 @@ let detected_set ?budget t patterns ~active =
         (fun fi fault ->
           if Bitvec.unsafe_get active fi && not (Bitvec.unsafe_get detected fi)
           then
-            if process_fault t good mask mode fi fault <> 0 then begin
+            if process_fault t good mask fi fault <> 0 then begin
               Bitvec.unsafe_set detected fi;
               decr remaining
             end)
@@ -566,11 +541,10 @@ let first_detections ?budget t ?active patterns =
   in
   iter_blocks ?budget ~stop:(fun () -> !remaining = 0) t patterns
     (fun ~base ~good ~mask ->
-      let mode = begin_block t good mask ~live:!remaining in
       Array.iteri
         (fun fi fault ->
           if live fi && result.(fi) = None then begin
-            let d = process_fault t good mask mode fi fault in
+            let d = process_fault t good mask fi fault in
             if d <> 0 then begin
               let k = ref 0 in
               while d lsr !k land 1 = 0 do incr k done;

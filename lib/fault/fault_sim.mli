@@ -2,22 +2,30 @@
     models.
 
     Patterns are simulated 62 per block against the good machine once;
-    per-fault detection words are then derived by the selected {!engine}:
+    per-fault detection words are then derived by one of two kernels:
 
     - {!Event}: every fault is injected and its fanout cone re-evaluated
       event-driven, in topological order — the exactness oracle;
-    - {!Cpt}: critical-path tracing — the circuit is decomposed once into
-      fanout-free regions ({!Reseed_netlist.Ffr}); faults inside a region
-      are graded by a backward derivative chain over the good values, and
-      only each region's stem costs an event-driven flip propagation for
-      its observability word;
-    - {!Hybrid} (default): {!Cpt} accelerated by dominator chaining (a
-      stem's flip propagation stops at the first downstream stem whose
-      observability is already known) and falling back to {!Event} on
-      blocks whose live-fault set is sparse, where per-fault cones are
-      cheaper than refreshing every stem.
+    - {!Cpt} and {!Hybrid}: lazy critical-path tracing (Abramovici,
+      Menon & Miller, DAC 1983).  The circuit is decomposed once into
+      fanout-free regions ({!Reseed_netlist.Ffr}); a fault inside a
+      region is graded by a backward derivative chain over the good
+      values, ANDed with its stem's observability word.  A stem's word
+      is computed on demand, once per block, by an event-driven
+      propagation of the stem's flip that hands off as soon as exactly
+      one node is pending: with level-ordered pops every remaining
+      difference funnels through that node, so the answer is its
+      difference ANDed with its own (memoised) detectability — exact
+      lane by lane.
 
-    All three engines produce bit-identical results.
+    Both kernels pop events from a level-bucket queue (O(1) push and
+    pop; fanins always sit at lower levels, so level order is
+    topological) and allocate nothing per gate evaluation.  {!Cpt} and
+    {!Hybrid} are two names for the same kernel; both stay accepted, and
+    [hybrid] stays the default because ATPG-stage artifact fingerprints
+    record the engine name.
+
+    Every engine produces bit-identical results.
 
     The {!Fault_model.t} chosen at {!create} fixes the detection
     semantics of every sweep.  Under {!Fault_model.Stuck_at} (the
@@ -27,7 +35,7 @@
     pattern [p-1] (launch) sets the fault's site signal to its slow
     initial value {e and} pattern [p] (capture) detects the
     corresponding stuck-at fault — the capture grade reuses the selected
-    engine unchanged, including the hybrid CPT/dominator machinery, and
+    engine unchanged, including the CPT hand-off, and
     the launch condition is applied as a per-lane mask with the carry
     across 62-pattern blocks handled internally.  The first pattern of a
     sweep has no launch predecessor and detects nothing.  Work counters
@@ -50,9 +58,9 @@ open Reseed_util
 type t
 
 type engine =
-  | Event  (** per-fault event-driven propagation *)
-  | Cpt  (** critical-path tracing, full stem flip propagations *)
-  | Hybrid  (** CPT + dominator chaining + sparse-block event fallback *)
+  | Event  (** per-fault event-driven propagation: the oracle *)
+  | Cpt  (** the lazy critical-path-tracing kernel *)
+  | Hybrid  (** the same kernel as [Cpt], under the default name *)
 
 (** [engine_name e] is ["event"], ["cpt"] or ["hybrid"]. *)
 val engine_name : engine -> string
@@ -103,8 +111,9 @@ val sims_performed : t -> int
 
 (** [event_propagations t] counts event-driven cone propagations actually
     launched: fault injections whose site difference was non-zero under
-    [Event], plus stem observability flips under [Cpt]/[Hybrid].  This is
-    the work metric the CPT engines shrink. *)
+    [Event], plus stem observability flips under [Cpt]/[Hybrid] (one per
+    stem whose word a live, excited fault needs, per block).  This is the
+    work metric the CPT kernel shrinks. *)
 val event_propagations : t -> int
 
 (** Every sweep below takes an optional [budget]: a tripped deadline or
