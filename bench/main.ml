@@ -6,7 +6,8 @@
      figure2  — Figure 2: reseedings vs test length trade-off (s1238/adder)
      ablation — design-choice ablations called out in DESIGN.md
      micro    — bechamel micro-benchmarks of the hot kernels
-     enginecheck — cross-check the fault-simulation engines bit-for-bit
+     enginecheck — cross-check the fault-simulation engines bit-for-bit,
+                   and the ATPG flow run under each
      scale    — the xl tier: per-stage wall time and peak RSS on
                 10k-100k-fault circuits, written to BENCH_scale.json
 
@@ -435,10 +436,10 @@ let run_ablation () =
   Table.print t2
 
 (* CI gate: every engine must grade every fault of every pattern
-   identically; exits non-zero on the first divergence.  Covers the
-   stuck-at model on small and scaled circuits and the transition model's
-   launch/capture path, and prints the propagation-count ratio the CPT
-   kernel buys. *)
+   identically, and the ATPG flow must produce the same tests under each;
+   exits non-zero after any divergence.  Covers the stuck-at model on
+   small and scaled circuits and the transition model's launch/capture
+   path, and prints the propagation-count ratio the CPT kernel buys. *)
 let run_enginecheck () =
   log "== Engine cross-check (event oracle vs the cpt/hybrid kernel) ==";
   let module FS = Reseed_fault.Fault_sim in
@@ -479,11 +480,31 @@ let run_enginecheck () =
       ("c432", FM.Transition_delay);
       ("s953_x2", FM.Transition_delay);
     ];
+  (* The ATPG flow grades every random block, every PODEM test's
+     collateral detections and the compaction sweep with the engine, so
+     the oracle and the default kernel must give the same test set and
+     the same fault classes. *)
+  let module A = Reseed_atpg.Atpg in
+  List.iter
+    (fun name ->
+      let c = Library.load name in
+      let ev = snd (A.run_circuit ~sim_engine:FS.Event c) in
+      let r = snd (A.run_circuit c) in
+      let identical =
+        r.A.tests = ev.A.tests && r.A.untestable = ev.A.untestable
+        && r.A.aborted = ev.A.aborted
+      in
+      if not identical then incr mismatches;
+      log "  [%s atpg] default: %d tests, %d untestable, %d aborted (event %d, %d, %d)%s" name
+        (Array.length r.A.tests) (List.length r.A.untestable) (List.length r.A.aborted)
+        (Array.length ev.A.tests) (List.length ev.A.untestable) (List.length ev.A.aborted)
+        (if identical then "" else "  ** MISMATCH **"))
+    [ "c432"; "s420"; "s953_x2" ];
   if !mismatches > 0 then begin
-    log "enginecheck FAILED: %d engine(s) diverged from the event oracle" !mismatches;
+    log "enginecheck FAILED: %d check(s) diverged from the event oracle" !mismatches;
     exit 1
   end;
-  log "enginecheck OK: detection matrices bit-identical across engines"
+  log "enginecheck OK: detection matrices and ATPG results identical across engines"
 
 let run_micro () =
   log "== Micro-benchmarks (bechamel) ==";

@@ -17,7 +17,11 @@ type engine =
 type config = {
   seed : int;  (** RNG seed for random phase and don't-care fill *)
   max_random_patterns : int;  (** budget for the random phase *)
-  max_backtracks : int;  (** PODEM budget per fault *)
+  max_backtracks : int;
+      (** PODEM backtrack budget for the whole run, not per fault: every
+          PODEM call shares one {!Podem.stats}, so once the run's
+          backtracks exceed this limit each remaining fault is aborted
+          without a decision *)
   compaction : bool;  (** run reverse-order compaction *)
   use_random_phase : bool;
   engine : engine;

@@ -2,38 +2,19 @@ open Reseed_fault
 open Reseed_setcover
 open Reseed_util
 
+(* Pattern [p] is kept exactly when it is the last pattern to detect some
+   fault: that fault's first detection in the reversed sequence.  So one
+   fault-dropping sweep over the reversed array decides every pattern,
+   and faults no pattern detects never hold one hostage. *)
 let reverse_order sim tests =
   let n = Array.length tests in
-  if n = 0 then ([||], 0)
-  else begin
-    let nf = Fault_sim.fault_count sim in
-    (* Restrict to faults the set actually detects, so undetectable faults
-       never hold patterns hostage. *)
-    let detectable = Bitvec.create nf in
-    let map = Fault_sim.detection_map sim tests in
-    Array.iteri (fun fi v -> if not (Bitvec.is_empty v) then Bitvec.set detectable fi) map;
-    let remaining = Bitvec.copy detectable in
-    let keep = Array.make n false in
-    for p = n - 1 downto 0 do
-      if not (Bitvec.is_empty remaining) then begin
-        (* Does pattern p detect any still-needed fault? *)
-        let contributes = ref false in
-        Array.iteri
-          (fun fi v ->
-            if Bitvec.get remaining fi && Bitvec.get v p then begin
-              contributes := true;
-              Bitvec.clear remaining fi
-            end)
-          map;
-        keep.(p) <- !contributes
-      end
-    done;
-    let kept =
-      Array.of_list
-        (List.filteri (fun p _ -> keep.(p)) (Array.to_list tests))
-    in
-    (kept, n - Array.length kept)
-  end
+  let reversed = Array.init n (fun k -> tests.(n - 1 - k)) in
+  let keep = Array.make n false in
+  Array.iter
+    (function Some k -> keep.(n - 1 - k) <- true | None -> ())
+    (Fault_sim.first_detections sim reversed);
+  let kept = Array.of_list (List.filteri (fun p _ -> keep.(p)) (Array.to_list tests)) in
+  (kept, n - Array.length kept)
 
 let covering sim tests =
   let n = Array.length tests in

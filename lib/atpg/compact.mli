@@ -11,7 +11,12 @@ open Reseed_fault
 
 (** [reverse_order sim tests] returns the kept patterns, preserving their
     relative order, and the number dropped.  Coverage over the
-    simulator's fault list is exactly preserved. *)
+    simulator's fault list is exactly preserved.  A pattern is kept
+    exactly when it is the last one to detect some fault; one
+    fault-dropping {!Fault_sim.first_detections} sweep over the reversed
+    sequence finds them all.  Stuck-at semantics: under a transition-delay
+    simulator the reversed sequence would pair other launch and capture
+    patterns, which is why the ATPG flow skips compaction there. *)
 val reverse_order : Fault_sim.t -> bool array array -> bool array array * int
 
 (** [covering sim tests] — exact minimum-cardinality compaction: selects

@@ -14,63 +14,87 @@ let known = function X -> false | F | T -> true
 
 let v_not = function F -> T | T -> F | X -> X
 
-let and2 a b =
-  match (a, b) with
-  | F, _ | _, F -> F
-  | T, T -> T
-  | _ -> X
+type injection = { out : int; gate : int; pin : int; stuck : v }
 
-let or2 a b =
-  match (a, b) with
-  | T, _ | _, T -> T
-  | F, F -> F
-  | _ -> X
+let no_injection = { out = -1; gate = -1; pin = -1; stuck = X }
 
-let xor2 a b =
-  match (a, b) with
-  | X, _ | _, X -> X
-  | T, T | F, F -> F
-  | _ -> T
+let injection { Fault.site; stuck } =
+  let stuck = of_bool stuck in
+  match site with
+  | Fault.Out g -> { no_injection with out = g; stuck }
+  | Fault.Pin { gate; pin } -> { no_injection with gate; pin; stuck }
 
-let fold2 op seed args = Array.fold_left op seed args
+(* Fanin [k] as the gate sees it: pin [pin] ([-1] = none) reads [forced]. *)
+let arg fanins values pin forced k = if k = pin then forced else values.(fanins.(k))
 
-let eval kind args =
+(* The n-ary folds from fanin [k] on, with accumulator [acc].  AND: a 0
+   decides, else any X gives X; OR dually; XOR: any X gives X, else the
+   parity. *)
+let rec and_from fanins values pin forced k acc =
+  if k = Array.length fanins then acc
+  else
+    match arg fanins values pin forced k with
+    | F -> F
+    | T -> and_from fanins values pin forced (k + 1) acc
+    | X -> and_from fanins values pin forced (k + 1) X
+
+let rec or_from fanins values pin forced k acc =
+  if k = Array.length fanins then acc
+  else
+    match arg fanins values pin forced k with
+    | T -> T
+    | F -> or_from fanins values pin forced (k + 1) acc
+    | X -> or_from fanins values pin forced (k + 1) X
+
+let rec xor_from fanins values pin forced k acc =
+  if k = Array.length fanins then acc
+  else
+    match arg fanins values pin forced k with
+    | X -> X
+    | T -> xor_from fanins values pin forced (k + 1) (v_not acc)
+    | F -> xor_from fanins values pin forced (k + 1) acc
+
+(* One gate over the [values] entries of its [fanins]; allocates nothing. *)
+let eval_gate kind fanins values pin forced =
   match kind with
   | Gate.Input -> invalid_arg "Ternary.eval: Input"
-  | Gate.Buf -> args.(0)
-  | Gate.Not -> v_not args.(0)
-  | Gate.And -> fold2 and2 T args
-  | Gate.Nand -> v_not (fold2 and2 T args)
-  | Gate.Or -> fold2 or2 F args
-  | Gate.Nor -> v_not (fold2 or2 F args)
-  | Gate.Xor -> fold2 xor2 F args
-  | Gate.Xnor -> v_not (fold2 xor2 F args)
+  | Gate.Buf -> arg fanins values pin forced 0
+  | Gate.Not -> v_not (arg fanins values pin forced 0)
+  | Gate.And -> and_from fanins values pin forced 0 T
+  | Gate.Nand -> v_not (and_from fanins values pin forced 0 T)
+  | Gate.Or -> or_from fanins values pin forced 0 F
+  | Gate.Nor -> v_not (or_from fanins values pin forced 0 F)
+  | Gate.Xor -> xor_from fanins values pin forced 0 F
+  | Gate.Xnor -> v_not (xor_from fanins values pin forced 0 F)
   | Gate.Const0 -> F
   | Gate.Const1 -> T
+
+let eval kind args = eval_gate kind (Array.init (Array.length args) Fun.id) args (-1) X
+
+let eval_node c inj values i =
+  (* An Out fault pins the node whatever its kind. *)
+  if i = inj.out then inj.stuck
+  else
+    let node = c.Circuit.nodes.(i) in
+    match node.Circuit.kind with
+    | Gate.Input -> values.(i)
+    | kind ->
+        let pin = if i = inj.gate then inj.pin else -1 in
+        eval_gate kind node.Circuit.fanins values pin inj.stuck
 
 let simulate c pi_values ?fault () =
   if Array.length pi_values <> Circuit.input_count c then
     invalid_arg "Ternary.simulate: PI assignment width mismatch";
+  let inj = match fault with Some f -> injection f | None -> no_injection in
   let n = Circuit.node_count c in
   let values = Array.make n X in
   let pi = ref 0 in
   for i = 0 to n - 1 do
-    let node = c.Circuit.nodes.(i) in
-    (match node.Circuit.kind with
-    | Gate.Input ->
-        values.(i) <- pi_values.(!pi);
-        incr pi
-    | kind ->
-        let args = Array.map (fun f -> values.(f)) node.Circuit.fanins in
-        (match fault with
-        | Some { Fault.site = Fault.Pin { gate; pin }; stuck } when gate = i ->
-            args.(pin) <- of_bool stuck
-        | _ -> ());
-        values.(i) <- eval kind args);
-    (* An Out fault pins the node after evaluation, whatever its kind. *)
-    match fault with
-    | Some { Fault.site = Fault.Out g; stuck } when g = i -> values.(i) <- of_bool stuck
-    | _ -> ()
+    if c.Circuit.nodes.(i).Circuit.kind = Gate.Input then begin
+      values.(i) <- pi_values.(!pi);
+      incr pi
+    end;
+    values.(i) <- eval_node c inj values i
   done;
   values
 
