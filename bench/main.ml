@@ -46,10 +46,7 @@
                            peak-RSS budget recorded in the scale summary
                            (default: 1.5x the measured peak, rounded up
                            to a 64 MB boundary) — the value CI gates
-                           fresh runs against.
-     RESEED_ROWSET=R       pin the row representation (dense | sparse |
-                           big | auto); used by the CI solution-identity
-                           check. *)
+                           fresh runs against; a positive integer. *)
 
 open Reseed_core
 open Reseed_gatsby
@@ -590,13 +587,25 @@ type scale_row = {
   sc_rows : int;
   sc_cols : int;
   sc_ones : int;
-  sc_repr : (string * int) list;  (** rowset representation mix *)
   sc_solution : int;
   sc_sims : int;
   sc_stages : scale_stage list;
 }
 
 let run_scale () =
+  (* Checked before minutes of work: a malformed budget must not be
+     committed to the summary as a gate of 0. *)
+  let budget_kb =
+    match Sys.getenv_opt "RESEED_SCALE_RSS_BUDGET_KB" with
+    | None -> None
+    | Some s -> (
+        match int_of_string_opt (String.trim s) with
+        | Some kb when kb > 0 -> Some kb
+        | _ ->
+            Printf.eprintf
+              "bench scale: RESEED_SCALE_RSS_BUDGET_KB=%S is not a positive integer\n" s;
+            exit 2)
+  in
   log "== Scale tier: per-stage wall / peak RSS (xl suite) ==";
   let rss () = Option.value (Rss.peak_kb ()) ~default:0 in
   let rows =
@@ -632,16 +641,6 @@ let run_scale () =
           log "scale FAILED: %s solution does not cover the matrix" name;
           exit 1
         end;
-        let repr = [| 0; 0; 0 |] in
-        for i = 0 to Matrix.rows m - 1 do
-          let k =
-            match Rowset.repr (Matrix.rowset m i) with
-            | Rowset.Dense -> 0
-            | Rowset.Sparse -> 1
-            | Rowset.Big -> 2
-          in
-          repr.(k) <- repr.(k) + 1
-        done;
         let universe =
           match p.Suite.collapse with
           | Some c -> Reseed_fault.Collapse.universe_count c
@@ -657,8 +656,6 @@ let run_scale () =
           sc_rows = Matrix.rows m;
           sc_cols = Matrix.cols m;
           sc_ones = Matrix.ones m;
-          sc_repr =
-            [ ("dense", repr.(0)); ("sparse", repr.(1)); ("big", repr.(2)) ];
           sc_solution = Solution.cardinality sol;
           sc_sims = built.Builder.fault_sims;
           sc_stages = List.rev !stages;
@@ -667,8 +664,8 @@ let run_scale () =
   in
   let peak = rss () in
   let budget =
-    match Sys.getenv_opt "RESEED_SCALE_RSS_BUDGET_KB" with
-    | Some s -> ( try int_of_string s with _ -> 0)
+    match budget_kb with
+    | Some kb -> kb
     | None ->
         (* 1.5x the measured peak, up to the next 64 MB boundary: slack
            for allocator noise without letting a dense-matrix regression
@@ -682,22 +679,15 @@ let run_scale () =
   pr "  \"jobs\": %d,\n" (Pool.default_jobs ());
   pr "  \"engine\": \"%s\",\n" (Reseed_fault.Fault_sim.engine_name sim_engine);
   pr "  \"collapse\": %b,\n" collapse_on;
-  pr "  \"rowset\": \"%s\",\n"
-    (match Rowset.forced () with
-    | Some r -> Rowset.repr_name r
-    | None -> "auto");
   pr "  \"circuits\": [";
   List.iteri
     (fun i r ->
       pr "%s\n    { \"name\": \"%s\", \"gates\": %d, \"universe_faults\": %d,\n"
         (if i = 0 then "" else ",")
         r.sc_name r.sc_gates r.sc_universe;
-      pr "      \"matrix\": { \"rows\": %d, \"cols\": %d, \"ones\": %d, \"density\": %.6f,\n"
+      pr "      \"matrix\": { \"rows\": %d, \"cols\": %d, \"ones\": %d, \"density\": %.6f },\n"
         r.sc_rows r.sc_cols r.sc_ones
         (float_of_int r.sc_ones /. float_of_int (max 1 (r.sc_rows * r.sc_cols)));
-      pr "        \"repr\": { %s } },\n"
-        (String.concat ", "
-           (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %d" k v) r.sc_repr));
       pr "      \"solution_triplets\": %d, \"fault_sims\": %d,\n" r.sc_solution
         r.sc_sims;
       pr "      \"stages\": [%s] }"

@@ -116,20 +116,13 @@ module Codec = struct
     u32 b (Bitvec.length v);
     Buffer.add_bytes b (Bitvec.to_bytes v)
 
-  (* A detection-matrix row in its native representation: sparse rows
-     are stored as their index list (tag 1), anything dense as packed
-     bits (tag 0) — so a 100k-column row that detects a dozen faults
-     costs ~50 bytes on disk instead of 12.5 kB. *)
-  let rowset b r =
-    match Rowset.repr r with
-    | Rowset.Sparse ->
-        Buffer.add_char b '\001';
-        u32 b (Rowset.length r);
-        u32 b (Rowset.count r);
-        Rowset.iter_ones (fun i -> u32 b i) r
-    | Rowset.Dense | Rowset.Big ->
-        Buffer.add_char b '\000';
-        bitvec b (Rowset.to_bitvec r)
+  (* A detection-matrix row: a leading tag byte, always 0, then the
+     packed bits.  The tag keeps stores written when rows could also be
+     tagged 1 (a sparse index list) readable: a tag-0 row decodes as
+     before, any other tag is malformed and its stage recomputes. *)
+  let row b v =
+    Buffer.add_char b '\000';
+    bitvec b v
 
   let pattern b p =
     u32 b (Array.length p);
@@ -212,25 +205,10 @@ module Codec = struct
     try Bitvec.of_bytes n (Bytes.of_string (String.sub r.s off nb))
     with Invalid_argument _ -> raise Malformed
 
-  let get_rowset r =
-    let tag = String.get r.s (take r 1) in
-    let rs =
-      match tag with
-      | '\000' -> Rowset.of_bitvec (get_bitvec r)
-      | '\001' ->
-          let len = get_u32 r in
-          let cnt = get_u32 r in
-          if cnt > len then raise Malformed;
-          let idx = Array.init cnt (fun _ -> get_u32 r) in
-          (try Rowset.of_sorted_array len idx
-           with Invalid_argument _ -> raise Malformed)
-      | _ -> raise Malformed
-    in
-    (* A forced representation (RESEED_ROWSET) must win over whatever
-       representation the artifact was written with. *)
-    match Rowset.forced () with
-    | Some _ -> Rowset.of_bitvec (Rowset.to_bitvec rs)
-    | None -> rs
+  let get_row r =
+    match String.get r.s (take r 1) with
+    | '\000' -> get_bitvec r
+    | _ -> raise Malformed
 
   let get_pattern r =
     let n = get_u32 r in

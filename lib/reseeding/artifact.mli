@@ -64,11 +64,9 @@ module Codec : sig
   val int_list : Buffer.t -> int list -> unit
   val bitvec : Buffer.t -> Bitvec.t -> unit
 
-  (** [rowset] stores a detection-matrix row representation-aware: a
-      sparse row as its index list, a dense one as packed bits.
-      [get_rowset] honours a forced [RESEED_ROWSET] representation
-      regardless of how the row was written. *)
-  val rowset : Buffer.t -> Rowset.t -> unit
+  (** [row] stores a detection-matrix row as a tag byte ([0]) followed
+      by {!bitvec}; [get_row] raises {!Malformed} on any other tag. *)
+  val row : Buffer.t -> Bitvec.t -> unit
 
   (** [pattern] / [patterns] pack simulator bit patterns LSB-first, eight
       per byte, length-prefixed. *)
@@ -92,7 +90,7 @@ module Codec : sig
   val get_str : reader -> string
   val get_int_list : reader -> int list
   val get_bitvec : reader -> Bitvec.t
-  val get_rowset : reader -> Rowset.t
+  val get_row : reader -> Bitvec.t
   val get_pattern : reader -> bool array
   val get_patterns : reader -> bool array array
   val get_word : reader -> Word.t

@@ -92,10 +92,11 @@ val fingerprint :
     leaves its finished shards behind, and a rerun against the same store
     restores them row-for-row, bit-identically (counted in
     [rows_restored]), and simulates only the rest.  A truncated or
-    corrupt shard fails its checksum and is re-simulated.  Rows are
-    compacted to their {!Reseed_util.Rowset} representation as soon as
-    they are produced; the full dense matrix is never resident during
-    construction. *)
+    corrupt shard fails its checksum and is re-simulated, as is a shard
+    holding a row in any layout other than packed bits.  Each row is the
+    {!Reseed_util.Bitvec.t} fault simulation filled, adopted without a
+    copy, so the finished matrix is resident in full (about
+    [rows * faults / 8] bytes). *)
 val build :
   ?pool:Pool.t ->
   ?budget:Budget.t ->

@@ -188,7 +188,7 @@ let advance ?(quantum = max_int) ?budget s =
             if fr.f_sub < 0 then (fr.f_need, fr.f_chosen, fr.f_cost)
             else begin
               let need = Bitvec.copy fr.f_need in
-              Rowset.diff_into ~into:need (Matrix.rowset m fr.f_sub);
+              Bitvec.diff_into ~into:need (Matrix.row m fr.f_sub);
               (need, fr.f_sub :: fr.f_chosen, fr.f_cost +. weights.(fr.f_sub))
             end
           in
@@ -220,8 +220,8 @@ let advance ?(quantum = max_int) ?budget s =
                   if c <> 0 then c
                   else
                     Stdlib.compare
-                      (Rowset.count_inter (Matrix.rowset m b) need)
-                      (Rowset.count_inter (Matrix.rowset m a) need))
+                      (Bitvec.count_inter (Matrix.row m b) need)
+                      (Bitvec.count_inter (Matrix.row m a) need))
                 (Bitvec.to_list (Matrix.col m !pick))
             in
             (* Reverse push: the cheapest candidate is the next pop. *)

@@ -4,15 +4,20 @@
     [d(i,j) = 1] iff some pattern of the test set generated by triplet [i]
     detects fault [j].
 
-    Rows are the only authoritative storage, each held as a {!Rowset.t}
-    (dense in-heap, sorted-sparse, or dense off-heap, picked per row by
-    density) — at 10k x 100k the redundant column-wise copy the matrix
-    used to keep would double a multi-hundred-megabyte footprint.  The
-    column view still exists, but as a one-shot transposed shard
-    materialised on the first {!col} and cached; scale-critical code
-    paths never call it.  The union of all rows (the coverable universe)
-    and the total ones count are maintained incrementally instead of
-    being recomputed per query. *)
+    Rows are the only authoritative storage, each a plain in-heap
+    {!Bitvec.t} over the columns.  Detection matrices are dense (measured
+    densities run 0.87–0.94), so packed bits are also the compact form.
+    The column view still exists, but as a one-shot transposed shard
+    materialised on the first {!col} and cached; the reduction and the
+    solvers' hot paths never call it.  The union of all rows (the
+    coverable universe) and the total ones count are maintained
+    incrementally instead of being recomputed per query.
+
+    Ownership: a matrix owns its row vectors.  {!of_rows} adopts the
+    array and the vectors it is given without copying, so the caller must
+    not mutate either afterwards; {!row}, {!col} and {!universe} return
+    the backing vectors, which callers must not mutate.  Only {!set}
+    changes a matrix after construction. *)
 
 open Reseed_util
 
@@ -20,32 +25,21 @@ type t
 
 val create : rows:int -> cols:int -> t
 
-(** [of_rows ~cols rows] builds from row bitvectors (each of length
-    [cols]); each row is compacted to the representation the
-    {!Rowset.of_bitvec} policy picks. *)
+(** [of_rows ~cols rows] adopts [rows] (each of length [cols]) as the
+    matrix rows, without copying; see the ownership rule above. *)
 val of_rows : cols:int -> Bitvec.t array -> t
-
-(** [of_rowsets ~cols rows] adopts already-compacted rows without
-    copying. *)
-val of_rowsets : cols:int -> Rowset.t array -> t
 
 val rows : t -> int
 val cols : t -> int
 
-(** [set m ~row ~col] sets one cell.  Only meaningful for matrices built
-    with {!create} (test rigs and the reduction residual); a sparse or
-    off-heap row is converted to mutable dense form first. *)
+(** [set m ~row ~col] sets one cell in place.  Used by matrices built
+    with {!create} (test rigs and the reduction residual). *)
 val set : t -> row:int -> col:int -> unit
 
 val get : t -> row:int -> col:int -> bool
 
-(** [rowset m i] is row [i] in its native representation — the
-    allocation-free accessor scale-critical code uses. *)
-val rowset : t -> int -> Rowset.t
-
-(** [row m i] is a dense view of row [i]: the backing vector itself when
-    row [i] is stored dense (do not mutate), otherwise a fresh copy per
-    call. *)
+(** [row m i] is row [i]'s backing vector, without a copy; callers must
+    not mutate it. *)
 val row : t -> int -> Bitvec.t
 
 (** [col m j] exposes the internal column bitvector of the transposed

@@ -178,7 +178,7 @@ let grasp_cover ~rng ~alpha ~weight m =
   while (not !stuck) && not (Bitvec.is_empty need) do
     let best = ref 0. in
     for i = 0 to n - 1 do
-      let gain = Rowset.count_inter (Matrix.rowset m i) need in
+      let gain = Bitvec.count_inter (Matrix.row m i) need in
       if gain > 0 then begin
         let r = float_of_int gain /. weight i in
         if r > !best then best := r
@@ -189,7 +189,7 @@ let grasp_cover ~rng ~alpha ~weight m =
       let thresh = alpha *. !best in
       let rcl = ref [] and size = ref 0 in
       for i = n - 1 downto 0 do
-        let gain = Rowset.count_inter (Matrix.rowset m i) need in
+        let gain = Bitvec.count_inter (Matrix.row m i) need in
         if gain > 0 && float_of_int gain /. weight i >= thresh then begin
           rcl := i :: !rcl;
           incr size
@@ -197,7 +197,7 @@ let grasp_cover ~rng ~alpha ~weight m =
       done;
       let choice = List.nth !rcl (Rng.int rng !size) in
       picked := choice :: !picked;
-      Rowset.diff_into ~into:need (Matrix.rowset m choice)
+      Bitvec.diff_into ~into:need (Matrix.row m choice)
     end
   done;
   (* Trim: drop rows whose every column stays covered without them,
@@ -205,7 +205,7 @@ let grasp_cover ~rng ~alpha ~weight m =
   let counts = Array.make (Matrix.cols m) 0 in
   List.iter
     (fun i ->
-      Rowset.iter_ones (fun j -> counts.(j) <- counts.(j) + 1) (Matrix.rowset m i))
+      Bitvec.iter_ones (fun j -> counts.(j) <- counts.(j) + 1) (Matrix.row m i))
     !picked;
   let order =
     List.sort
@@ -215,11 +215,11 @@ let grasp_cover ~rng ~alpha ~weight m =
   let kept =
     List.filter
       (fun i ->
-        let rs = Matrix.rowset m i in
+        let row = Matrix.row m i in
         let redundant = ref true in
-        Rowset.iter_ones (fun j -> if counts.(j) < 2 then redundant := false) rs;
+        Bitvec.iter_ones (fun j -> if counts.(j) < 2 then redundant := false) row;
         if !redundant then begin
-          Rowset.iter_ones (fun j -> counts.(j) <- counts.(j) - 1) rs;
+          Bitvec.iter_ones (fun j -> counts.(j) <- counts.(j) - 1) row;
           false
         end
         else true)

@@ -88,7 +88,7 @@ let run ?(config = default_config) ?row_weights m =
   let select_row i =
     necessary := i :: !necessary;
     drop_row i;
-    Rowset.iter_ones (fun j -> if col_active.(j) then drop_col j) (Matrix.rowset m i)
+    Bitvec.iter_ones (fun j -> if col_active.(j) then drop_col j) (Matrix.row m i)
   in
   (* Every pass below streams row-major over the row sets: the column
      view is never materialised (beyond the bounded shard the dominance
@@ -107,14 +107,14 @@ let run ?(config = default_config) ?row_weights m =
     let cover_row = Array.make n_cols (-1) in
     for i = n_rows - 1 downto 0 do
       if row_active.(i) then
-        Rowset.iter_ones
+        Bitvec.iter_ones
           (fun j ->
             if col_active.(j) then begin
               cover_count.(j) <- cover_count.(j) + 1;
               (* Descending row scan: the last writer is the lowest row. *)
               cover_row.(j) <- i
             end)
-          (Matrix.rowset m i)
+          (Matrix.row m i)
     done;
     for j = 0 to n_cols - 1 do
       if col_active.(j) && cover_count.(j) = 1 && cover_row.(j) >= 0 then begin
@@ -150,7 +150,7 @@ let run ?(config = default_config) ?row_weights m =
     let changed = ref false in
     let rows = Array.of_list (active_rows ()) in
     let counts =
-      Array.map (fun i -> Rowset.count_inter (Matrix.rowset m i) col_mask) rows
+      Array.map (fun i -> Bitvec.count_inter (Matrix.row m i) col_mask) rows
     in
     let n = Array.length rows in
     (* Identical (masked) covers first, via one hash pass: the survivor
@@ -160,9 +160,9 @@ let run ?(config = default_config) ?row_weights m =
     for a = 0 to n - 1 do
       let i = rows.(a) in
       let key =
-        Rowset.fold_ones
+        Bitvec.fold_ones
           (fun acc j -> if col_active.(j) then j :: acc else acc)
-          [] (Matrix.rowset m i)
+          [] (Matrix.row m i)
       in
       match Hashtbl.find_opt seen key with
       | None -> Hashtbl.add seen key a
@@ -202,7 +202,7 @@ let run ?(config = default_config) ?row_weights m =
           if
             live.(b)
             && weight_ok ~dropped:i ~kept:k
-            && Rowset.subset_masked (Matrix.rowset m i) (Matrix.rowset m k)
+            && Bitvec.subset_masked (Matrix.row m i) (Matrix.row m k)
                  ~mask:col_mask
           then begin
             drop_row i;
@@ -231,7 +231,7 @@ let run ?(config = default_config) ?row_weights m =
     for i = 0 to n_rows - 1 do
       if row_active.(i) then begin
         Hashtbl.reset renamed;
-        Rowset.iter_ones
+        Bitvec.iter_ones
           (fun j ->
             if col_active.(j) then
               match Hashtbl.find_opt renamed part.(j) with
@@ -241,7 +241,7 @@ let run ?(config = default_config) ?row_weights m =
                   incr next_id;
                   Hashtbl.add renamed part.(j) id;
                   part.(j) <- id)
-          (Matrix.rowset m i)
+          (Matrix.row m i)
       end
     done;
     (* Classmates not covered by a row keep the old id while the covered
@@ -287,12 +287,12 @@ let run ?(config = default_config) ?row_weights m =
       let colbits = Array.init n (fun _ -> Bitvec.create n_rows) in
       for i = 0 to n_rows - 1 do
         if row_active.(i) then
-          Rowset.iter_ones
+          Bitvec.iter_ones
             (fun j ->
               match Hashtbl.find_opt pos j with
               | Some a -> Bitvec.unsafe_set colbits.(a) i
               | None -> ())
-            (Matrix.rowset m i)
+            (Matrix.row m i)
       done;
       let counts = Array.map Bitvec.count colbits in
       for a = 0 to n - 1 do
@@ -336,7 +336,7 @@ let run ?(config = default_config) ?row_weights m =
   (* Rows left with no active column contribute nothing. *)
   List.iter
     (fun i ->
-      if Rowset.count_inter (Matrix.rowset m i) col_mask = 0 then drop_row i)
+      if Bitvec.count_inter (Matrix.row m i) col_mask = 0 then drop_row i)
     (active_rows ());
   Metrics.add m_iterations !iterations;
   Metrics.add m_essential (List.length !necessary);

@@ -152,6 +152,40 @@ let prop_subset_consistent =
       let a = Bitvec.of_list n (f la) and b = Bitvec.of_list n (f lb) in
       Bitvec.subset a (Bitvec.union a b))
 
+(* Set algebra against a [bool array] reference.  Lengths 1-300 cross
+   the 62-bit word edge several times; each operand's density is drawn
+   independently over 0-100%, so empty, full and mixed words all occur. *)
+let prop_matches_bool_reference =
+  QCheck.Test.make ~name:"set algebra = bool-array reference" ~count:300
+    QCheck.(
+      pair (int_range 1 300)
+        (quad (int_bound 100) (int_bound 100) (int_bound 100) (int_bound 9999)))
+    (fun (len, (da, db, dm, seed)) ->
+      let rng = Rng.create seed in
+      let bools d = Array.init len (fun _ -> Rng.int rng 100 < d) in
+      let ra = bools da and rb = bools db and rm = bools dm in
+      let vec r =
+        let v = Bitvec.create len in
+        Array.iteri (fun i b -> if b then Bitvec.set v i) r;
+        v
+      in
+      let a = vec ra and b = vec rb and mask = vec rm in
+      let idx = List.init len Fun.id in
+      let inter = List.length (List.filter (fun i -> ra.(i) && rb.(i)) idx) in
+      let union = Bitvec.copy a and diff = Bitvec.copy a in
+      Bitvec.union_into ~into:union b;
+      Bitvec.diff_into ~into:diff b;
+      Bitvec.count_inter a b = inter
+      && Bitvec.intersects a b = (inter > 0)
+      && Bitvec.subset_masked a b ~mask
+         = List.for_all (fun i -> (not (ra.(i) && rm.(i))) || rb.(i)) idx
+      && List.for_all (fun i -> Bitvec.get union i = (ra.(i) || rb.(i))) idx
+      && List.for_all (fun i -> Bitvec.get diff i = (ra.(i) && not rb.(i))) idx
+      && Bitvec.equal a b = (ra = rb)
+      && Bitvec.equal a (vec ra)
+      && Bitvec.to_list a = List.filter (fun i -> ra.(i)) idx
+      && List.for_all (fun i -> Bitvec.get a i = ra.(i)) idx)
+
 let suite =
   [
     ( "bitvec",
@@ -173,5 +207,6 @@ let suite =
         QCheck_alcotest.to_alcotest prop_union_commutes;
         QCheck_alcotest.to_alcotest prop_demorgan;
         QCheck_alcotest.to_alcotest prop_subset_consistent;
+        QCheck_alcotest.to_alcotest prop_matches_bool_reference;
       ] );
   ]

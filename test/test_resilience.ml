@@ -235,6 +235,74 @@ let test_resume_other_cycles_restores_nothing () =
       check "fresh matrix correct" true
         (matrices_equal reference.Builder.matrix other.Builder.matrix))
 
+(* Row codec compatibility.  A matrixshard payload is [u32 rows], then
+   per row [u32 useful] and a tagged row: tag 0 + [Codec.bitvec] is the
+   only form written; tag 1 (a sparse index list: u32 length, u32 count,
+   u32 per index) was also written by older builds and must now be
+   treated as corrupt and recomputed. *)
+let shard_payload ~tagged_row (b : Builder.t) =
+  let buf = Buffer.create 256 in
+  let n = Matrix.rows b.Builder.matrix in
+  Artifact.Codec.u32 buf n;
+  for i = 0 to n - 1 do
+    Artifact.Codec.u32 buf b.Builder.useful_cycles.(i);
+    tagged_row buf (Matrix.row b.Builder.matrix i)
+  done;
+  Buffer.contents buf
+
+let dense_row buf v =
+  Buffer.add_char buf '\000';
+  Artifact.Codec.u32 buf (Bitvec.length v);
+  Buffer.add_bytes buf (Bitvec.to_bytes v)
+
+let sparse_row buf v =
+  Buffer.add_char buf '\001';
+  Artifact.Codec.u32 buf (Bitvec.length v);
+  Artifact.Codec.u32 buf (Bitvec.count v);
+  Bitvec.iter_ones (Artifact.Codec.u32 buf) v
+
+let test_sparse_tagged_shard_is_recomputed () =
+  let ((sim, tests, targets) as p) = c17_input () in
+  let tpg = Accumulator.adder 5 in
+  let config = Builder.default_config in
+  let reference = build p tpg () in
+  let n = Matrix.rows reference.Builder.matrix in
+  (* c17 fits in one shard: rows [0, n). *)
+  let shard_fp =
+    let base =
+      Builder.fingerprint ~fault_model:(Fault_sim.model sim) ~tests ~targets tpg
+        ~config
+    in
+    Fingerprint.(int (int base 0) n)
+  in
+  let corrupt = Metrics.counter "artifact_corrupt" in
+  with_temp_store (fun store ->
+      ignore (build p tpg ~store ());
+      check "shard key" true
+        (first_shard store = Artifact.path store ~stage:"matrixshard" shard_fp);
+      check "written shard = tag 0 + packed bits" true
+        (Artifact.load store ~stage:"matrixshard" shard_fp
+        = Some (shard_payload ~tagged_row:dense_row reference));
+      drop_matrix_stage store;
+      Artifact.save store ~stage:"matrixshard" shard_fp
+        (shard_payload ~tagged_row:sparse_row reference);
+      let before = Metrics.value corrupt in
+      let rebuilt = build p tpg ~store () in
+      check_int "tag-1 shard counted corrupt" 1 (Metrics.value corrupt - before);
+      check_int "nothing restored" 0 rebuilt.Builder.rows_restored;
+      check "rows re-simulated" true (rebuilt.Builder.fault_sims > 0);
+      check "recomputed matrix = cold build" true
+        (matrices_equal reference.Builder.matrix rebuilt.Builder.matrix);
+      (* The recompute overwrote the shard; it restores every row. *)
+      drop_matrix_stage store;
+      let restored = build p tpg ~store () in
+      check_int "all rows restored" n restored.Builder.rows_restored;
+      check_int "no simulations" 0 restored.Builder.fault_sims;
+      check "restored matrix = cold build" true
+        (matrices_equal reference.Builder.matrix restored.Builder.matrix);
+      check "useful cycles restored" true
+        (reference.Builder.useful_cycles = restored.Builder.useful_cycles))
+
 (* Forty rows — three shards — over a small generated circuit. *)
 let forty_row_input () =
   let spec =
@@ -393,6 +461,8 @@ let suite =
           test_resume_other_cycles_restores_nothing;
         Alcotest.test_case "checkpoint: interrupt + resume = uninterrupted" `Quick
           test_resume_after_cancel_bit_identical;
+        Alcotest.test_case "checkpoint: sparse-tagged shard recomputed" `Quick
+          test_sparse_tagged_shard_is_recomputed;
         Alcotest.test_case "pool: task error carries context" `Quick
           test_pool_task_error_context;
         Alcotest.test_case "pool: transient failure retried once" `Quick

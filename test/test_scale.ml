@@ -1,7 +1,7 @@
-(* Scale-tier equivalence properties: the three Rowset representations
-   are interchangeable, the sharded matrix build reproduces the
-   monolithic one, and the streaming reduction matches a direct
-   column-wise reference on random instances and real built matrices. *)
+(* Scale-tier equivalence properties: the sharded matrix build
+   reproduces the monolithic one, and the streaming reduction matches a
+   direct column-wise reference on random instances and real built
+   matrices. *)
 
 open Reseed_core
 open Reseed_fault
@@ -9,100 +9,6 @@ open Reseed_netlist
 open Reseed_setcover
 open Reseed_tpg
 open Reseed_util
-
-let reprs = [ Rowset.Dense; Rowset.Sparse; Rowset.Big ]
-
-(* Run [f] with every subsequent [Rowset.of_bitvec] pinned to [r],
-   restoring the automatic policy (or whatever RESEED_ROWSET forced)
-   afterwards even on failure. *)
-let with_force r f =
-  let prev = Rowset.forced () in
-  Rowset.set_force r;
-  Fun.protect ~finally:(fun () -> Rowset.set_force prev) f
-
-let random_bitvec rng len ~density =
-  let v = Bitvec.create len in
-  for i = 0 to len - 1 do
-    if Rng.int rng 100 < density then Bitvec.set v i
-  done;
-  v
-
-(* Every representation of the same bit set answers every query the
-   dense one does. *)
-let prop_rowset_equivalence =
-  QCheck.Test.make ~name:"rowset: dense/sparse/big are interchangeable"
-    ~count:60
-    QCheck.(triple (int_range 1 300) (int_bound 100) (int_bound 9999))
-    (fun (len, density, seed) ->
-      let rng = Rng.create seed in
-      let v = random_bitvec rng len ~density in
-      let mask = random_bitvec rng len ~density:70 in
-      let other = random_bitvec rng len ~density in
-      let dense = Rowset.dense_of_bitvec v in
-      List.for_all
-        (fun r ->
-          let row = with_force (Some r) (fun () -> Rowset.of_bitvec v) in
-          Rowset.repr row = r
-          && Rowset.count row = Bitvec.count v
-          && Rowset.length row = len
-          && Bitvec.equal (Rowset.to_bitvec row) v
-          && Rowset.equal row dense
-          && Rowset.to_list row = Bitvec.to_list v)
-        reprs
-      &&
-      (* Set algebra agrees with the Bitvec reference for every
-         representation, and subset_masked for every representation
-         pair. *)
-      List.for_all
-        (fun r ->
-          let row = with_force (Some r) (fun () -> Rowset.of_bitvec v) in
-          let i = Rng.int rng len in
-          let u = Bitvec.create len in
-          Rowset.union_into ~into:u row;
-          let d = Bitvec.copy mask in
-          Rowset.diff_into ~into:d row;
-          let d_ref = Bitvec.copy mask in
-          Bitvec.iter_ones (fun j -> Bitvec.clear d_ref j) v;
-          Rowset.mem row i = Bitvec.get v i
-          && Bitvec.equal u v
-          && Bitvec.equal d d_ref
-          && Rowset.count_inter row mask = Bitvec.count_inter v mask
-          && Rowset.intersects row mask = (Bitvec.count_inter v mask > 0)
-          && List.for_all
-               (fun r2 ->
-                 let row2 = with_force (Some r2) (fun () -> Rowset.of_bitvec other) in
-                 Rowset.subset_masked row row2 ~mask
-                 = Bitvec.subset_masked v other ~mask
-                 && Rowset.equal row row2 = Bitvec.equal v other)
-               reprs)
-        reprs)
-
-let prop_big_roundtrip =
-  QCheck.Test.make ~name:"bitvec.big: off-heap round-trip" ~count:60
-    QCheck.(triple (int_range 1 500) (int_bound 100) (int_bound 9999))
-    (fun (len, density, seed) ->
-      let rng = Rng.create seed in
-      let v = random_bitvec rng len ~density in
-      let b = Bitvec.Big.of_bitvec v in
-      Bitvec.Big.count b = Bitvec.count v
-      && Bitvec.equal (Bitvec.Big.to_bitvec b) v
-      && Bitvec.Big.fold_ones (fun acc i -> acc && Bitvec.get v i) true b
-      &&
-      let i = Rng.int rng len in
-      Bitvec.Big.get b i = Bitvec.get v i)
-
-(* The automatic policy honours the density cutover: rows at or below
-   one set bit per 64 columns go sparse. *)
-let prop_rowset_policy =
-  QCheck.Test.make ~name:"rowset: density cutover policy" ~count:40
-    QCheck.(pair (int_range 64 2000) (int_bound 9999))
-    (fun (len, seed) ->
-      let rng = Rng.create seed in
-      let sparse_v = Bitvec.create len in
-      Bitvec.set sparse_v (Rng.int rng len);
-      let dense_v = random_bitvec rng len ~density:50 in
-      Rowset.repr (Rowset.of_bitvec sparse_v) = Rowset.Sparse
-      && Rowset.repr (Rowset.of_bitvec dense_v) <> Rowset.Sparse)
 
 (* --- Sharded build vs monolithic build ------------------------------- *)
 
@@ -128,7 +34,7 @@ let same_build (a : Builder.t) (b : Builder.t) =
   Alcotest.(check int) "cols" (Matrix.cols a.Builder.matrix) (Matrix.cols b.Builder.matrix);
   Alcotest.(check int) "ones" (Matrix.ones a.Builder.matrix) (Matrix.ones b.Builder.matrix);
   for i = 0 to Matrix.rows a.Builder.matrix - 1 do
-    if not (Rowset.equal (Matrix.rowset a.Builder.matrix i) (Matrix.rowset b.Builder.matrix i))
+    if not (Bitvec.equal (Matrix.row a.Builder.matrix i) (Matrix.row b.Builder.matrix i))
     then Alcotest.failf "row %d differs between builds" i
   done;
   Alcotest.(check (array int)) "useful_cycles" a.Builder.useful_cycles b.Builder.useful_cycles
@@ -157,18 +63,6 @@ let test_sharded_build_matches () =
   Alcotest.(check int) "all rows restored from shards" (Array.length tests)
     restored.Builder.rows_restored;
   Alcotest.(check int) "no simulations on shard restore" 0 restored.Builder.fault_sims
-
-let test_build_identical_across_reprs () =
-  let sim, tpg, tests, targets = build_fixture () in
-  let config = Builder.default_config in
-  let auto = Builder.build sim tpg ~tests ~targets ~config in
-  List.iter
-    (fun r ->
-      let b =
-        with_force (Some r) (fun () -> Builder.build sim tpg ~tests ~targets ~config)
-      in
-      same_build auto b)
-    reprs
 
 (* --- Streaming reduction vs column-wise reference --------------------- *)
 
@@ -387,42 +281,15 @@ let test_reduce_matches_on_built_matrix () =
          (reference_reduce ~row_weights:weights m))
   then Alcotest.fail "weighted reduction diverged on a built matrix"
 
-(* Same covering solution whichever representation backs the rows. *)
-let prop_solution_identity_across_reprs =
-  QCheck.Test.make ~name:"solve: identical across row representations" ~count:15
-    QCheck.(quad (int_range 2 12) (int_range 2 30) (int_range 5 60) (int_bound 9999))
-    (fun (rows, cols, density, seed) ->
-      let rng = Rng.create seed in
-      let m = random_matrix rng ~rows ~cols ~density in
-      let base = Solution.solve m in
-      List.for_all
-        (fun r ->
-          with_force (Some r) (fun () ->
-              let rs =
-                Array.init rows (fun i -> Rowset.of_bitvec (Matrix.row m i))
-              in
-              let m2 = Matrix.of_rowsets ~cols rs in
-              let s = Solution.solve m2 in
-              s.Solution.rows = base.Solution.rows
-              && s.Solution.stats.Solution.necessary
-                 = base.Solution.stats.Solution.necessary))
-        reprs)
-
 let suite =
   [
     ( "scale",
       [
-        QCheck_alcotest.to_alcotest prop_rowset_equivalence;
-        QCheck_alcotest.to_alcotest prop_big_roundtrip;
-        QCheck_alcotest.to_alcotest prop_rowset_policy;
         Alcotest.test_case "sharded build = monolithic build" `Quick
           test_sharded_build_matches;
-        Alcotest.test_case "build identical across representations" `Quick
-          test_build_identical_across_reprs;
         QCheck_alcotest.to_alcotest prop_reduce_matches_reference;
         QCheck_alcotest.to_alcotest prop_reduce_coldom_limit;
         Alcotest.test_case "streaming reduce = reference on built matrix" `Quick
           test_reduce_matches_on_built_matrix;
-        QCheck_alcotest.to_alcotest prop_solution_identity_across_reprs;
       ] );
   ]
